@@ -390,6 +390,21 @@ def _left_hermite(mat: list[list[Poly]]) -> tuple[RatMat, list[list[Poly]]]:
     return RatMat(l_rows), h
 
 
+def _compressed(T: RatMat) -> tuple[RatMat, RatMat, int]:
+    """Return (T_h, L, shift) with T = z^shift * L * T_h, T_h compressed poly.
+
+    Strips the scalar valuation, then compresses by left Hermite reduction.
+    """
+    n = T.n
+    shift = min(
+        e.laurent_bounds()[0] for row in T.entries for e in row if not e.is_zero()
+    )
+    z_neg = RatFun.monomial(CycNum.one(n), -shift)
+    poly_rows = [[(e * z_neg).as_poly() for e in row] for row in T.entries]
+    l_h, h_rows = _left_hermite(poly_rows)
+    return _poly_matrix_to_ratmat(h_rows), l_h, shift
+
+
 # ---------------------------------------------------------------------------
 # Unimodular completion of a coprime polynomial column
 
@@ -503,21 +518,14 @@ def _birkhoff_core(T: RatMat) -> tuple[RatMat, list[int], RatMat]:
             [k],
             RatMat.identity(n, 1),
         )
-    # Strip the scalar valuation and compress by left Hermite reduction.
-    shift = min(
-        e.laurent_bounds()[0] for row in T.entries for e in row if not e.is_zero()
-    )
-    z_neg = RatFun.monomial(CycNum.one(n), -shift)
-    poly_rows = [[(e * z_neg).as_poly() for e in row] for row in T.entries]
-    l_h, h_rows = _left_hermite(poly_rows)
+    h_mat, l_h, shift = _compressed(T)
     k_h = k_det - r * shift
-    h_mat = _poly_matrix_to_ratmat(h_rows)
     if all(
-        h_rows[i][j].is_zero() or (i == j and h_rows[i][j].is_monomial())
+        h_mat[i, j].is_zero() or (i == j and h_mat[i, j].num.is_monomial())
         for i in range(r)
         for j in range(r)
     ):
-        exps = [h_rows[i][i].degree() + shift for i in range(r)]
+        exps = [h_mat[i, i].num.degree() + shift for i in range(r)]
         perm = _sorting_permutation(exps)
         zero, one = RatFun.zero(n), RatFun.one(n)
         p_right = RatMat(
@@ -658,22 +666,9 @@ def hn_filtration(cocycle: TransitionCocycle, factorization: Optional[BirkhoffFa
 # Global sections
 
 
-def _compressed(cocycle: TransitionCocycle) -> tuple[RatMat, RatMat, int]:
-    """Return (T_h, L, shift) with T = z^shift * L * T_h, T_h compressed poly."""
-    T = cocycle.transition
-    n = T.n
-    shift = min(
-        e.laurent_bounds()[0] for row in T.entries for e in row if not e.is_zero()
-    )
-    z_neg = RatFun.monomial(CycNum.one(n), -shift)
-    poly_rows = [[(e * z_neg).as_poly() for e in row] for row in T.entries]
-    l_h, h_rows = _left_hermite(poly_rows)
-    return _poly_matrix_to_ratmat(h_rows), l_h, shift
-
-
 def h0_dimension(cocycle: TransitionCocycle, m: int = 0) -> int:
     """dim H^0 of E x O(m), by direct exact linear solve."""
-    t_h, _, shift = _compressed(cocycle)
+    t_h, _, shift = _compressed(cocycle.transition)
     space = _SectionSpace(t_h, m + shift)
     return space.dim()
 
@@ -682,7 +677,7 @@ def h0_profile(cocycle: TransitionCocycle, m_lo: int, m_hi: int) -> dict[int, in
     """dim H^0(E x O(m)) for every m in [m_lo, m_hi], via the twist ladder."""
     if m_lo > m_hi:
         raise MalformedInput("empty twist range")
-    t_h, _, shift = _compressed(cocycle)
+    t_h, _, shift = _compressed(cocycle.transition)
     space = _SectionSpace(t_h, m_hi + shift)
     out = {m_hi: space.dim()}
     for m in range(m_hi - 1, m_lo - 1, -1):
@@ -697,7 +692,7 @@ def section_basis(cocycle: TransitionCocycle, m: int = 0) -> list[tuple[list[Pol
     The pairs satisfy s0(z) = T(z) z^m s1(1/z) exactly, in the original
     trivialization of the cocycle.
     """
-    t_h, l_h, shift = _compressed(cocycle)
+    t_h, l_h, shift = _compressed(cocycle.transition)
     space = _SectionSpace(t_h, m + shift)
     pairs = space.section_pairs()
     out = []

@@ -34,6 +34,7 @@ from .errors import (
     SingularMatrix,
 )
 from .extensions import PGLGroup, SplittingHom
+from .linalg import rank as mat_rank
 from .matgroup import FiniteMatrixGroup, Representation, SL2Elem
 from .moebius import MoebiusMap, automorphy_factor, mu_poly
 from .ratfun import Poly, RatFun, RatMat, invert_variable
@@ -55,6 +56,16 @@ __all__ = [
 ]
 
 GroupLike = Union[FiniteMatrixGroup, PGLGroup]
+
+
+def _action_table(group: GroupLike, rank: int, gen_action: Sequence[RatMat]) -> list[RatMat]:
+    """a_g for every element g, from a_{x g_t}(z) = a_x(g_t z) * a_{g_t}(z)."""
+
+    def step(prev: RatMat, t: int) -> RatMat:
+        mob = MoebiusMap(group.elements[group.generator_indices[t]])
+        return prev.compose_moebius(mob) * gen_action[t]
+
+    return group.extend(RatMat.identity(group.n, rank), step)
 
 
 class EquivariantBundle:
@@ -86,15 +97,7 @@ class EquivariantBundle:
     def action_table(self) -> tuple[RatMat, ...]:
         """Action matrices for every group element, extended along words."""
         if self._table is None:
-            group = self.group
-            table: list[Optional[RatMat]] = [None] * group.order
-            table[0] = RatMat.identity(self.n, self.rank)
-            for i in range(1, group.order):
-                prev = table[group.parent[i]]
-                assert prev is not None
-                t = group.last_gen[i]
-                table[i] = prev.compose_moebius(self.generator_moebius(t)) * self.gen_action[t]
-            self._table = tuple(table)  # type: ignore[arg-type]
+            self._table = tuple(_action_table(self.group, self.rank, self.gen_action))
         return self._table
 
     def __repr__(self) -> str:
@@ -223,29 +226,6 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
 # Filtration invariance
 
 
-def _ratmat_rank(m: RatMat) -> int:
-    rows = [list(r) for r in m.entries]
-    ncols = m.cols
-    rank = 0
-    for col in range(ncols):
-        pivot = next(
-            (i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pinv = rows[rank][col].inv()
-        rows[rank] = [x * pinv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def hn_invariance_failures(
     bundle: EquivariantBundle, factorization: Optional[BirkhoffFactorization] = None
 ) -> list[dict]:
@@ -260,7 +240,7 @@ def hn_invariance_failures(
             moved = a_mat * basis
             target = basis.compose_moebius(mob)
             k = basis.cols
-            if _ratmat_rank(target.hstack(moved)) != k:
+            if mat_rank(target.hstack(moved).entries) != k:
                 failures.append({"generator": t, "step": j})
     return failures
 
@@ -271,20 +251,6 @@ def check_hn_invariance(bundle: EquivariantBundle) -> bool:
 
 # ---------------------------------------------------------------------------
 # Averaged splitting
-
-
-def _action_table_for(
-    group: GroupLike, rank: int, gen_action: Sequence[RatMat], n: int
-) -> list[RatMat]:
-    table: list[Optional[RatMat]] = [None] * group.order
-    table[0] = RatMat.identity(n, rank)
-    for i in range(1, group.order):
-        prev = table[group.parent[i]]
-        assert prev is not None
-        t = group.last_gen[i]
-        mob = MoebiusMap(group.elements[group.generator_indices[t]])
-        table[i] = prev.compose_moebius(mob) * gen_action[t]
-    return list(table)  # type: ignore[arg-type]
 
 
 def equivariant_splitting(
@@ -496,6 +462,8 @@ def classify_with_certificates(
         "hn_blocks": [],
         "averaging": [],
         "modules": [],
+        # Not serialized: lets callers reuse the factorization.
+        "factorization": fact,
     }
     p_mat = fact.u_plus
     gen_action = []
@@ -535,7 +503,7 @@ def classify_with_certificates(
         k = r_cur - r_bot
         delta = cur_blocks[-1][0]
         quot_action = [a.submatrix(range(k, r_cur), range(k, r_cur)) for a in cur_action]
-        table = _action_table_for(group, r_cur, cur_action, n)
+        table = _action_table(group, r_cur, cur_action)
         mobs = [MoebiusMap(e) for e in group.elements]
         acc_mat: Optional[RatMat] = None
         for g in range(group.order):
@@ -650,11 +618,13 @@ def extract_module(bundle: EquivariantBundle) -> Representation:
 def _lift_for_entry(
     group: GroupLike, t: int, entry: CanonicalEntry, gamma: Optional[SplittingHom]
 ) -> SL2Elem:
+    """The SL(2, C) lift of generator t that the entry's degree transforms by."""
     if isinstance(group, FiniteMatrixGroup):
         return group.elements[group.generator_indices[t]]
     if entry.degree % 2 == 0 or entry.parity == "odd_twist":
         return group.generator_reps[t]
-    assert gamma is not None
+    if gamma is None:
+        raise InvalidStructure("odd plain entry over a non-split projective group")
     return gamma.gen_lifts[t]
 
 

@@ -17,6 +17,7 @@ from .matgroup import (
     FiniteMatrixGroup,
     Representation,
     SL2Elem,
+    TabularGroup,
     closure_tables,
     generate_group,
 )
@@ -42,39 +43,20 @@ def sign_normalize(g: SL2Elem) -> SL2Elem:
     raise MalformedInput("zero matrix cannot represent a projective element")
 
 
-class PGLGroup:
+class PGLGroup(TabularGroup):
     """A finite subgroup of PGL(2, C) with coset-representative tables.
 
-    Exposes the same tabular interface as FiniteMatrixGroup (mul, inv, words,
+    Shares the tabular interface of FiniteMatrixGroup (mul, inv, words,
     conjugacy classes), so representations and characters work over it
-    unchanged.  The preimage attribute is the index-2 central extension
-    inside SL(2, C), which always contains -I.
+    unchanged, but is not a matrix group: isinstance checks on the two
+    classes pick the parity case.  The preimage attribute is the index-2
+    central extension inside SL(2, C), which always contains -I.
     """
 
     def __init__(self, generator_reps: Sequence[SL2Elem], cap: int = DEFAULT_CLOSURE_CAP):
         gens = [sign_normalize(g) for g in generator_reps]
-        elements, mul_table, gen_indices, parent, last_gen = closure_tables(
-            gens, cap, normalize=sign_normalize
-        )
-        self.elements = tuple(elements)
-        self.n = elements[0].n
-        self.order = len(elements)
-        self.mul_table = tuple(tuple(row) for row in mul_table)
-        self.generator_indices = tuple(gen_indices)
-        self.generator_reps = tuple(elements[i] for i in gen_indices)
-        self.parent = tuple(parent)
-        self.last_gen = tuple(last_gen)
-        self.index = {e.key(): i for i, e in enumerate(self.elements)}
-        self.inverse_table = tuple(
-            next(j for j in range(self.order) if self.mul_table[i][j] == 0)
-            for i in range(self.order)
-        )
-        self.conjugacy_classes = self._build_classes()
-        self.class_of = [0] * self.order
-        for ci, members in enumerate(self.conjugacy_classes):
-            for m in members:
-                self.class_of[m] = ci
-        self.class_reps = tuple(members[0] for members in self.conjugacy_classes)
+        super().__init__(*closure_tables(gens, cap, normalize=sign_normalize))
+        self.generator_reps = tuple(self.elements[i] for i in self.generator_indices)
         minus = -SL2Elem.identity(self.n)
         self.preimage = generate_group(list(self.generator_reps) + [minus], cap=cap)
         if self.preimage.order != 2 * self.order:
@@ -83,54 +65,10 @@ class PGLGroup:
             )
         self._splitting_cache: tuple[bool, Optional[SplittingHom]] = (False, None)
 
-    def _build_classes(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.order
-        classes: list[tuple[int, ...]] = []
-        for i in range(self.order):
-            if seen[i]:
-                continue
-            orbit = set()
-            for g in range(self.order):
-                orbit.add(self.mul_table[g][self.mul_table[i][self.inverse_table[g]]])
-            members = tuple(sorted(orbit))
-            for m in members:
-                seen[m] = True
-            classes.append(members)
-        classes.sort(
-            key=lambda ms: (len(ms), self.elements[ms[0]].trace().sort_key(), ms[0])
-        )
-        return tuple(classes)
-
-    # -- tabular interface shared with FiniteMatrixGroup ----------------
-
-    def mul(self, i: int, j: int) -> int:
-        return self.mul_table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverse_table[i]
-
     def element_index(self, g: SL2Elem) -> int:
-        try:
-            return self.index[sign_normalize(g).key()]
-        except KeyError:
-            raise MalformedInput("element does not belong to the group") from None
+        return super().element_index(sign_normalize(g))
 
     coset_index = element_index
-
-    def word(self, i: int) -> tuple[int, ...]:
-        out: list[int] = []
-        while i != 0:
-            out.append(self.last_gen[i])
-            i = self.parent[i]
-        return tuple(reversed(out))
-
-    def element_order(self, i: int) -> int:
-        order = 1
-        x = i
-        while x != 0:
-            x = self.mul(x, i)
-            order += 1
-        return order
 
     def minus_identity_index(self) -> Optional[int]:
         return None
@@ -141,17 +79,6 @@ class PGLGroup:
             value = extension_splits(self)
             self._splitting_cache = (True, value)
         return value
-
-    def __len__(self) -> int:
-        return self.order
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PGLGroup):
-            return NotImplemented
-        return self.elements == other.elements
-
-    def __repr__(self) -> str:
-        return f"PGLGroup(order={self.order}, modulus={self.n})"
 
 
 def pgl_group(generator_reps: Sequence[SL2Elem], cap: int = DEFAULT_CLOSURE_CAP) -> PGLGroup:
@@ -171,17 +98,9 @@ class SplittingHom:
             raise MalformedInput("one lift per generator required")
         self.group = group
         self.gen_lifts = tuple(gen_lifts)
-        self.lifts = self._extend()
-
-    def _extend(self) -> tuple[SL2Elem, ...]:
-        group = self.group
-        lifts: list[Optional[SL2Elem]] = [None] * group.order
-        lifts[0] = SL2Elem.identity(group.n)
-        for i in range(1, group.order):
-            prev = lifts[group.parent[i]]
-            assert prev is not None
-            lifts[i] = prev * self.gen_lifts[group.last_gen[i]]
-        return tuple(lifts)  # type: ignore[arg-type]
+        self.lifts = tuple(
+            group.extend(SL2Elem.identity(group.n), lambda prev, t: prev * self.gen_lifts[t])
+        )
 
     def lift_of(self, group: PGLGroup, idx: int) -> SL2Elem:
         if group is not self.group and group.elements != self.group.elements:

@@ -2,7 +2,9 @@
 
 Matrices are immutable-by-convention lists of lists of CycNum.  Pivoting is
 deterministic (first nonzero entry), so reduced forms and nullspace bases are
-reproducible.
+reproducible.  rref is the one Gauss-Jordan elimination in the package:
+rref, rank, nullspace and mat_inv use only is_zero, inv, ring operations and
+the entry type's one/zero, so they serve CycNum and RatFun entries alike.
 """
 
 from __future__ import annotations
@@ -94,28 +96,17 @@ def mat_is_zero(a: Matrix) -> bool:
 
 
 def mat_inv(a: Matrix) -> Matrix:
+    """Inverse as the right half of rref([A | I])."""
     size = len(a)
     if any(len(row) != size for row in a):
         raise DimensionMismatch("inverse of a non-square matrix")
-    n = a[0][0].n
-    work = [list(row) for row in a]
-    aug = identity_matrix(n, size)
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if not work[i][col].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        pinv = work[col][col].inv()
-        work[col] = [x * pinv for x in work[col]]
-        aug[col] = [x * pinv for x in aug[col]]
-        for i in range(size):
-            if i != col and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return aug
+    entry_type, n = type(a[0][0]), a[0][0].n
+    one, zero = entry_type.one(n), entry_type.zero(n)
+    aug = [list(row) + [one if i == j else zero for j in range(size)] for i, row in enumerate(a)]
+    reduced, pivots = rref(aug)
+    if pivots != list(range(size)):
+        raise SingularMatrix("matrix is singular")
+    return [row[size:] for row in reduced]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

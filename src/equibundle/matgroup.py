@@ -9,7 +9,7 @@ is immutable afterwards and safe for concurrent readers.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .cyclotomic import CycNum
 from .errors import (
@@ -33,6 +33,7 @@ from .linalg import (
 
 __all__ = [
     "SL2Elem",
+    "TabularGroup",
     "FiniteMatrixGroup",
     "Representation",
     "CharacterVector",
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 240
+
+T = TypeVar("T")
 
 
 class SL2Elem:
@@ -134,8 +137,8 @@ class SL2Elem:
         return f"SL2Elem([[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]])"
 
 
-class FiniteMatrixGroup:
-    """A finite subgroup of SL(2, C) with full multiplication tables.
+class TabularGroup:
+    """A finite group held as closure tables: products, inverses, classes.
 
     elements[0] is the identity; parent/last_gen record the breadth-first
     spanning tree used to extend generator-level data to the whole group.
@@ -164,6 +167,8 @@ class FiniteMatrixGroup:
             for m in members:
                 self.class_of[m] = ci
         self.class_reps = tuple(members[0] for members in self.conjugacy_classes)
+        # Random-module building blocks per parity, filled lazily by plant.
+        self.module_pools: dict[str, list[Representation]] = {}
 
     def _build_inverses(self) -> tuple[int, ...]:
         inv = [-1] * self.order
@@ -217,10 +222,17 @@ class FiniteMatrixGroup:
             i = self.parent[i]
         return tuple(reversed(out))
 
-    def minus_identity_index(self) -> Optional[int]:
-        key = (-SL2Elem.identity(self.n)).key()
-        idx = self.index.get(key)
-        return idx
+    def extend(self, first: T, step: Callable[[T, int], T]) -> list[T]:
+        """Extend generator-level data to every element along the spanning tree.
+
+        Entry 0 is first and entry i is step(entry parent[i], last_gen[i]),
+        so step(x, t) = x * (image of generator t) gives the image of word(i).
+        Parents precede their children in element order.
+        """
+        out = [first]
+        for i in range(1, self.order):
+            out.append(step(out[self.parent[i]], self.last_gen[i]))
+        return out
 
     def element_order(self, i: int) -> int:
         order = 1
@@ -234,12 +246,21 @@ class FiniteMatrixGroup:
         return self.order
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteMatrixGroup):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.elements == other.elements
 
     def __repr__(self) -> str:
-        return f"FiniteMatrixGroup(order={self.order}, modulus={self.n})"
+        return f"{type(self).__name__}(order={self.order}, modulus={self.n})"
+
+
+class FiniteMatrixGroup(TabularGroup):
+    """A finite subgroup of SL(2, C) with full multiplication tables."""
+
+    def minus_identity_index(self) -> Optional[int]:
+        key = (-SL2Elem.identity(self.n)).key()
+        idx = self.index.get(key)
+        return idx
 
 
 def closure_tables(
@@ -389,18 +410,13 @@ class Representation:
         """Extend generator images along the spanning tree; fails if inconsistent."""
         if len(gen_images) != len(group.generator_indices):
             raise DimensionMismatch("one image per generator required")
-        n = group.n
-        images: list[Optional[Matrix]] = [None] * group.order
-        images[0] = identity_matrix(n, dim)
         by_gen = {gi: [list(r) for r in img] for gi, img in zip(group.generator_indices, gen_images)}
-        for i in range(1, group.order):
-            prev = images[group.parent[i]]
-            assert prev is not None
-            gmat = by_gen[group.generator_indices[group.last_gen[i]]]
-            images[i] = mat_mul(prev, gmat)
+        images = group.extend(
+            identity_matrix(group.n, dim),
+            lambda prev, t: mat_mul(prev, by_gen[group.generator_indices[t]]),
+        )
         # Generators already in the tree must agree with the supplied images.
         for gi, img in by_gen.items():
-            assert images[gi] is not None
             if not mat_eq(images[gi], img):
                 raise MathRejection("generator image inconsistent with tree extension")
         return Representation(group, dim, images)  # validation happens in __init__

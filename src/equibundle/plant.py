@@ -20,7 +20,7 @@ from .equivariant import (
     CanonicalForm,
     EquivariantBundle,
 )
-from .errors import MathRejection
+from .errors import MathRejection, SingularMatrix
 from .extensions import PGLGroup
 from .linalg import mat_inv
 from .matgroup import FiniteMatrixGroup, Representation
@@ -194,9 +194,6 @@ def sym_square_rep(group) -> Representation:
     return Representation(group, 3, images, check=False)
 
 
-_POOLS: dict[int, dict[str, list[Representation]]] = {}
-
-
 def _module_pool(group, parity: str) -> list[Representation]:
     """Building blocks of dimension up to 3 for the requested parity.
 
@@ -204,8 +201,7 @@ def _module_pool(group, parity: str) -> list[Representation]:
     modules of the group itself.  parity "odd_twist": modules of a preimage
     group on which -I acts by -1.
     """
-    key = id(group)
-    pools = _POOLS.setdefault(key, {})
+    pools = group.module_pools
     if parity in pools:
         return pools[parity]
     blocks: list[Representation] = []
@@ -281,7 +277,7 @@ def random_module(
             try:
                 s_inv = mat_inv(s)
                 break
-            except Exception:
+            except SingularMatrix:
                 continue
         rep = rep.conjugate(s, s_inv)
     return rep
@@ -330,7 +326,7 @@ def conjugated_modules(rng: random.Random, cf: CanonicalForm) -> CanonicalForm:
             try:
                 s_inv = mat_inv(s)
                 break
-            except Exception:
+            except SingularMatrix:
                 continue
         entries.append(
             CanonicalEntry(e.degree, e.module.conjugate(s, s_inv), e.parity)

@@ -18,6 +18,7 @@ from .errors import (
     ModulusMismatch,
     SingularMatrix,
 )
+from .linalg import mat_inv
 
 __all__ = [
     "Poly",
@@ -766,29 +767,7 @@ class RatMat:
                 for j in range(3)
             ]
             return RatMat([[c * dinv for c in row] for row in cof])
-        return self._inv_gauss()
-
-    def _inv_gauss(self) -> RatMat:
-        n, r = self.n, self.rows
-        work = [list(row) for row in self.entries]
-        zero, one = RatFun.zero(n), RatFun.one(n)
-        aug = [[one if i == j else zero for j in range(r)] for i in range(r)]
-        for col in range(r):
-            pivot = next((i for i in range(col, r) if not work[i][col].is_zero()), None)
-            if pivot is None:
-                raise SingularMatrix("matrix determinant is zero")
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                aug[col], aug[pivot] = aug[pivot], aug[col]
-            pinv = work[col][col].inv()
-            work[col] = [x * pinv for x in work[col]]
-            aug[col] = [x * pinv for x in aug[col]]
-            for i in range(r):
-                if i != col and not work[i][col].is_zero():
-                    f = work[i][col]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return RatMat(aug)
+        return RatMat(mat_inv(self.entries))
 
     def compose_moebius(self, mob) -> RatMat:
         return RatMat([[e.compose_moebius(mob) for e in row] for row in self.entries])

@@ -11,25 +11,15 @@ projective group itself.
 from __future__ import annotations
 
 from .cyclotomic import CycNum
-from .equivariant import CanonicalForm, EquivariantBundle
+from .equivariant import CanonicalForm, EquivariantBundle, _lift_for_entry
 from .errors import InvalidStructure, MalformedInput
 from .extensions import PGLGroup, SplittingHom
 from .linalg import kron, mat_eq, rref
-from .matgroup import FiniteMatrixGroup, Representation
+from .matgroup import Representation
 from .moebius import MoebiusMap, sym_power_matrix
 from .ratfun import RatFun
 
 __all__ = ["sections_module", "transported_sections_module"]
-
-
-def _entry_lift(group, t: int, entry, gamma):
-    if isinstance(group, FiniteMatrixGroup):
-        return group.elements[group.generator_indices[t]]
-    if entry.degree % 2 == 0 or entry.parity == "odd_twist":
-        return group.generator_reps[t]
-    if gamma is None:
-        raise InvalidStructure("odd plain entry over a non-split projective group")
-    return gamma.gen_lifts[t]
 
 
 def sections_module(cf: CanonicalForm, group, gamma: SplittingHom | None = None) -> Representation:
@@ -43,7 +33,7 @@ def sections_module(cf: CanonicalForm, group, gamma: SplittingHom | None = None)
             continue
         gen_images = []
         for t in range(len(group.generator_indices)):
-            lift = _entry_lift(group, t, entry, gamma)
+            lift = _lift_for_entry(group, t, entry, gamma)
             sym = sym_power_matrix(lift, d)
             if isinstance(group, PGLGroup) and entry.parity == "odd_twist":
                 mod_img = entry.module.image(entry.module.group.element_index(lift))

@@ -71,7 +71,13 @@ def cyc_from_json(data: Any) -> CycNum:
     n = int(data["modulus"])
     coeffs = data["coeffs"]
     _expect(isinstance(coeffs, list) and len(coeffs) == euler_phi(n), "bad coefficient count")
-    fracs = [Fraction(int(num), int(den)) for num, den in coeffs]
+    fracs = []
+    for pair in coeffs:
+        _expect(isinstance(pair, list) and len(pair) == 2, "bad coefficient pair")
+        try:
+            fracs.append(Fraction(int(pair[0]), int(pair[1])))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"bad coefficient {pair!r}: {exc}") from exc
     den = 1
     for f in fracs:
         den = den * f.denominator // gcd(den, f.denominator)

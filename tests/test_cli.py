@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from equibundle import serialize
+from equibundle.bundle import TransitionCocycle
 from equibundle.cli import main
 from equibundle.equivariant import build_from_canonical
 from equibundle.matgroup import catalog
@@ -38,8 +39,6 @@ def test_split_command(tmp_path, capsys):
     n = 12
     one = CycNum.one(n)
     cocycle = RatMat.diag([RatFun.monomial(one, 3), RatFun.monomial(one, -1)])
-    from equibundle.bundle import TransitionCocycle
-
     path = tmp_path / "cocycle.json"
     path.write_text(serialize.dumps(serialize.cocycle_to_json(TransitionCocycle(2, cocycle))))
     code, report = run_cli(capsys, "split", "--input", str(path))
@@ -145,6 +144,14 @@ def test_sections_command(tmp_path, capsys):
 def test_malformed_input_exit_code(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
+    code, report = run_cli(capsys, "split", "--input", str(path))
+    assert code == 2
+    assert report["error"] == "malformed_input"
+    # A zero denominator inside an otherwise well-formed cocycle file;
+    # run_cli parses the whole of stdout, so it must be one JSON object.
+    data = serialize.cocycle_to_json(TransitionCocycle(1, RatMat([[RatFun.one(4)]])))
+    data["transition"][0][0]["num"][0]["coeffs"][0] = ["1", "0"]
+    path.write_text(serialize.dumps(data))
     code, report = run_cli(capsys, "split", "--input", str(path))
     assert code == 2
     assert report["error"] == "malformed_input"

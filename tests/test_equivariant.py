@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -34,6 +36,7 @@ from equibundle.plant import (
     conjugated_modules,
     one_dim_reps,
     random_canonical_form,
+    random_module,
     random_retrivialization,
 )
 from equibundle.ratfun import Poly, RatFun, RatMat
@@ -316,3 +319,12 @@ def test_intro_existence_every_type_admits_structure():
         bundle = build_from_canonical(CanonicalForm(entries), g)
         assert validate_equivariance(bundle, level="all").ok
         assert splitting_type(bundle.base) == degrees
+
+
+def test_module_pools_die_with_their_group():
+    group = catalog("binary_dihedral", 2).group()
+    random_module(random.Random(0), group, 2)
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None

@@ -64,6 +64,40 @@ def test_preimage_of_z2_image_is_z4():
     assert orders == [1, 2, 4, 4]
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [
+        lambda: [SL2Elem.from_ints(4, 0, 1, -1, 0)],
+        lambda: catalog("binary_dihedral", 3).generators,
+    ],
+    ids=["nonsplit_z2", "binary_dihedral_3"],
+)
+def test_pgl_group_tables(gens):
+    h = pgl_group(gens())
+    reps = h.generator_reps
+    ident = SL2Elem.identity(h.n)
+    extended = h.extend(ident, lambda prev, t: prev * reps[t])
+    for i, elem in enumerate(h.elements):
+        acc = ident
+        for t in h.word(i):
+            acc = acc * reps[t]
+        assert sign_normalize(acc) == elem
+        assert sign_normalize(extended[i]) == elem
+        assert h.mul(i, h.inv(i)) == 0
+        power, order = elem, 1
+        while sign_normalize(power) != ident:
+            power = power * elem
+            order += 1
+        assert h.element_order(i) == order
+    members = sorted(m for cls in h.conjugacy_classes for m in cls)
+    assert members == list(range(h.order))
+    for ci, cls in enumerate(h.conjugacy_classes):
+        assert h.class_reps[ci] == cls[0]
+        for m in cls:
+            assert h.class_of[m] == ci
+            assert {h.mul(g, h.mul(m, h.inv(g))) for g in range(h.order)} == set(cls)
+
+
 def test_split_trivial_group():
     h = pgl_group([SL2Elem.identity(4)])
     gamma = extension_splits(h)

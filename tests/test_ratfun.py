@@ -6,6 +6,7 @@ import pytest
 
 from equibundle.cyclotomic import CycNum
 from equibundle.errors import DivisionByZero, SingularMatrix
+from equibundle.linalg import mat_inv
 from equibundle.ratfun import (
     Poly,
     RatFun,
@@ -163,6 +164,14 @@ def test_singular_matrix_raises():
     m = RatMat([[RatFun.one(N), RatFun.one(N)], [RatFun.one(N), RatFun.one(N)]])
     with pytest.raises(SingularMatrix):
         m.inv()
+    # Size 4 takes the elimination path rather than the cofactor formulas.
+    z, one, zero = RatFun.monomial(cyc(1), 1), RatFun.one(N), RatFun.zero(N)
+    row = [z, one, zero, z.inv()]
+    m4 = RatMat([row, [one, z, one, zero], row, [zero, one, z, one]])
+    with pytest.raises(SingularMatrix):
+        m4.inv()
+    with pytest.raises(SingularMatrix):
+        mat_inv([[cyc(1), cyc(2), cyc(0)], [cyc(0), cyc(1), cyc(1)], [cyc(1), cyc(3), cyc(1)]])
 
 
 def test_zero_denominator_raises():

@@ -117,3 +117,6 @@ def test_malformed_input_raises():
         serialize.cocycle_from_json({"rank": 1})
     with pytest.raises(MalformedInput):
         serialize.cyc_from_json({"modulus": 4, "coeffs": [["1", "1"]]})
+    for bad_pair in (["1", "0"], ["x", "1"], ["1"], 5):
+        with pytest.raises(MalformedInput):
+            serialize.cyc_from_json({"modulus": 4, "coeffs": [["1", "1"], bad_pair]})
