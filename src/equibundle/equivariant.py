@@ -16,6 +16,7 @@ acting as minus the identity (the odd-twist tag).
 
 from __future__ import annotations
 
+from itertools import accumulate, groupby
 from typing import Optional, Sequence, Union
 
 from .bundle import (
@@ -139,44 +140,34 @@ def _divides_linear_power(den: Poly, lin: Poly) -> bool:
     return True
 
 
+def _has_pole_off(m: RatMat, lin: Poly) -> bool:
+    """True iff some entry of m has a pole away from the zero of lin."""
+    return any(not _divides_linear_power(e.den, lin) for row in m.entries for e in row)
+
+
 def _chart_regularity_issues(
-    elem: SL2Elem, a_mat: RatMat, base: TransitionCocycle, label
+    elem: SL2Elem, a_mat: RatMat, base: TransitionCocycle, t_inv: RatMat, label
 ) -> list[dict]:
     issues: list[dict] = []
-    n = base.n
     mu = mu_poly(elem)
     try:
         a_inv = a_mat.inv()
     except SingularMatrix:
         return [{"kind": "singular_action", "element": label}]
     for name, m in (("action", a_mat), ("action_inverse", a_inv)):
-        for row in m.entries:
-            for e in row:
-                if not _divides_linear_power(e.den, mu):
-                    issues.append({"kind": f"chart0_pole_{name}", "element": label})
-                    break
-            else:
-                continue
-            break
+        if _has_pole_off(m, mu):
+            issues.append({"kind": f"chart0_pole_{name}", "element": label})
     # chart-1 matrix: T(g z)^(-1) a(z) T(z), written in w = 1/z
-    mob = MoebiusMap(elem)
-    t_gz = base.transition.compose_moebius(mob)
+    chart1 = t_inv.compose_moebius(MoebiusMap(elem)) * a_mat * base.transition
+    chart1_w = RatMat([[invert_variable(e) for e in row] for row in chart1.entries])
     try:
-        chart1 = t_gz.inv() * a_mat * base.transition
-        chart1_w = RatMat([[invert_variable(e) for e in row] for row in chart1.entries])
         chart1_w_inv = chart1_w.inv()
     except SingularMatrix:
         return issues + [{"kind": "singular_chart1", "element": label}]
-    lin = Poly(n, [elem.a, elem.b])  # a + b w vanishes where the image leaves chart 1
+    lin = Poly(base.n, [elem.a, elem.b])  # a + b w vanishes where the image leaves chart 1
     for name, m in (("chart1", chart1_w), ("chart1_inverse", chart1_w_inv)):
-        for row in m.entries:
-            for e in row:
-                if not _divides_linear_power(e.den, lin):
-                    issues.append({"kind": f"pole_{name}", "element": label})
-                    break
-            else:
-                continue
-            break
+        if _has_pole_off(m, lin):
+            issues.append({"kind": f"pole_{name}", "element": label})
     return issues
 
 
@@ -214,10 +205,11 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
         reg_elems = list(range(group.order))
     else:
         reg_elems = list(group.generator_indices)
+    t_inv = bundle.base.transition.inv()
     for i in reg_elems:
         checked["regularity_elements"] += 1
         violations.extend(
-            _chart_regularity_issues(group.elements[i], table[i], bundle.base, i)
+            _chart_regularity_issues(group.elements[i], table[i], bundle.base, t_inv, i)
         )
     return ValidationReport(checked, violations)
 
@@ -253,6 +245,34 @@ def check_hn_invariance(bundle: EquivariantBundle) -> bool:
 # Averaged splitting
 
 
+def _average(
+    group: GroupLike, table_b: Sequence[RatMat], psi: RatMat, table_c: Sequence[RatMat]
+) -> RatMat:
+    """(1/|G|) sum over g of (b_{g^-1} psi)(g z) c_g(z), from full action tables."""
+    acc: Optional[RatMat] = None
+    for g, elem in enumerate(group.elements):
+        term = (table_b[group.inv(g)] * psi).compose_moebius(MoebiusMap(elem)) * table_c[g]
+        acc = term if acc is None else acc + term
+    assert acc is not None
+    return acc.scale(RatFun.const(CycNum.from_int(psi.n, group.order).inv()))
+
+
+def _check_averaged(
+    group: GroupLike,
+    gen_b: Sequence[RatMat],
+    gen_c: Sequence[RatMat],
+    q: RatMat,
+    psi_tilde: RatMat,
+) -> None:
+    """Exact certificate: psi_tilde is a right inverse of q and intertwines the actions."""
+    if not (q * psi_tilde).is_identity():
+        raise InvalidStructure("averaged splitting is not a right inverse")
+    for t, b_mat in enumerate(gen_b):
+        mob = MoebiusMap(group.elements[group.generator_indices[t]])
+        if b_mat * psi_tilde != psi_tilde.compose_moebius(mob) * gen_c[t]:
+            raise InvalidStructure("averaged splitting is not equivariant")
+
+
 def equivariant_splitting(
     total: EquivariantBundle,
     quotient: EquivariantBundle,
@@ -274,35 +294,14 @@ def equivariant_splitting(
         raise DimensionMismatch("splitting data shapes do not match the ranks")
     if not (q * psi).is_identity():
         raise InvalidStructure("psi is not a right inverse of q")
-    mobs = [MoebiusMap(e) for e in group.elements]
     for t in range(len(total.gen_action)):
         mob = total.generator_moebius(t)
         lhs = quotient.gen_action[t] * q
         rhs = q.compose_moebius(mob) * total.gen_action[t]
         if lhs != rhs:
             raise InvalidStructure("q does not intertwine the two actions")
-    table_b = total.action_table()
-    table_c = quotient.action_table()
-    acc: Optional[RatMat] = None
-    for g in range(group.order):
-        g_inv = group.inv(g)
-        term = (
-            table_b[g_inv].compose_moebius(mobs[g])
-            * psi.compose_moebius(mobs[g])
-            * table_c[g]
-        )
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    scale = RatFun.const(CycNum.from_int(total.n, group.order).inv())
-    psi_tilde = acc.scale(scale)
-    if not (q * psi_tilde).is_identity():
-        raise InvalidStructure("averaged map is no longer a right inverse")
-    for t in range(len(total.gen_action)):
-        mob = total.generator_moebius(t)
-        lhs = total.gen_action[t] * psi_tilde
-        rhs = psi_tilde.compose_moebius(mob) * quotient.gen_action[t]
-        if lhs != rhs:
-            raise InvalidStructure("averaged map is not equivariant")
+    psi_tilde = _average(group, total.action_table(), psi, quotient.action_table())
+    _check_averaged(group, total.gen_action, quotient.gen_action, q, psi_tilde)
     return psi_tilde
 
 
@@ -385,47 +384,29 @@ def _module_from_block(
     over depends on the parity case.
     """
     dim = block_action[0].rows
-
-    def constant_image(b_mat: RatMat, lift: SL2Elem) -> list[list[CycNum]]:
+    plain = isinstance(group, FiniteMatrixGroup) or degree % 2 == 0 or gamma is not None
+    parity = "plain" if plain else "odd_twist"
+    lifts = [_lift_for_entry(group, t, degree, parity, gamma) for t in range(len(block_action))]
+    images = []
+    for b_mat, lift in zip(block_action, lifts):
         mu_pow = automorphy_factor(lift, -degree)  # (c z + d)^degree
-        out = []
+        image = []
         for row in b_mat.entries:
-            out_row = []
+            image_row = []
             for e in row:
                 prod = e * mu_pow
                 if not (prod.is_polynomial() and prod.num.is_const()):
                     raise InvalidStructure(
                         "block action is not a constant twist of the natural structure"
                     )
-                out_row.append(prod.const_value())
-            out.append(out_row)
-        return out
-
-    if isinstance(group, FiniteMatrixGroup):
-        images = [
-            constant_image(b_mat, group.elements[group.generator_indices[t]])
-            for t, b_mat in enumerate(block_action)
-        ]
-        return Representation.from_generator_images(group, dim, images), "plain"
-    # Projective group
-    if degree % 2 == 0:
-        images = [
-            constant_image(b_mat, group.generator_reps[t])
-            for t, b_mat in enumerate(block_action)
-        ]
-        return Representation.from_generator_images(group, dim, images), "plain"
-    if gamma is not None:
-        images = [
-            constant_image(b_mat, gamma.gen_lifts[t])
-            for t, b_mat in enumerate(block_action)
-        ]
-        return Representation.from_generator_images(group, dim, images), "plain"
+                image_row.append(prod.const_value())
+            image.append(image_row)
+        images.append(image)
+    if plain:
+        return Representation.from_generator_images(group, dim, images), parity
     # Non-split odd case: module over the preimage, central element acts by -1.
     preimage = group.preimage
-    images_by_gen: dict[int, list[list[CycNum]]] = {}
-    for t, b_mat in enumerate(block_action):
-        rep_lift = group.generator_reps[t]
-        images_by_gen[preimage.element_index(rep_lift)] = constant_image(b_mat, rep_lift)
+    images_by_gen = {preimage.element_index(lift): img for lift, img in zip(lifts, images)}
     minus = -SL2Elem.identity(group.n)
     neg_one = CycNum.from_int(group.n, -1)
     zero = CycNum.zero(group.n)
@@ -437,7 +418,7 @@ def _module_from_block(
     module = Representation.from_generator_images(preimage, dim, gen_images)
     if not module.is_odd_twist():
         raise InvalidStructure("odd block failed the central minus-one property")
-    return module, "odd_twist"
+    return module, parity
 
 
 def classify_with_certificates(
@@ -465,24 +446,17 @@ def classify_with_certificates(
         # Not serialized: lets callers reuse the factorization.
         "factorization": fact,
     }
+    gens = [group.elements[gi] for gi in group.generator_indices]
     p_mat = fact.u_plus
-    gen_action = []
-    for t, a_mat in enumerate(bundle.gen_action):
-        mob = bundle.generator_moebius(t)
-        gen_action.append(p_mat.compose_moebius(mob).inv() * a_mat * p_mat)
-    # Degree blocks, descending.
-    blocks: list[tuple[int, int]] = []
-    for d in fact.degrees:
-        if blocks and blocks[-1][0] == d:
-            blocks[-1] = (d, blocks[-1][1] + 1)
-        else:
-            blocks.append((d, 1))
+    p_inv = p_mat.inv()
+    gen_action = [
+        p_inv.compose_moebius(MoebiusMap(g)) * a_mat * p_mat
+        for g, a_mat in zip(gens, bundle.gen_action)
+    ]
+    # Degree blocks (degree, multiplicity), descending.
+    blocks = [(d, len(list(run))) for d, run in groupby(fact.degrees)]
     # Filtration invariance: strictly-lower block triangles must vanish.
-    cuts = []
-    acc = 0
-    for _, mult in blocks[:-1]:
-        acc += mult
-        cuts.append(acc)
+    cuts = list(accumulate(mult for _, mult in blocks[:-1]))
     for t, a_mat in enumerate(gen_action):
         for cut in cuts:
             sub = a_mat.submatrix(range(cut, bundle.rank), range(0, cut))
@@ -499,44 +473,27 @@ def classify_with_certificates(
     cur_blocks = list(blocks)
     while len(cur_blocks) > 1:
         r_cur = sum(m for _, m in cur_blocks)
-        r_bot = cur_blocks[-1][1]
+        delta, r_bot = cur_blocks[-1]
         k = r_cur - r_bot
-        delta = cur_blocks[-1][0]
-        quot_action = [a.submatrix(range(k, r_cur), range(k, r_cur)) for a in cur_action]
+        top, bottom, every = range(k), range(k, r_cur), range(r_cur)
+        quot_action = [a.submatrix(bottom, bottom) for a in cur_action]
         table = _action_table(group, r_cur, cur_action)
-        mobs = [MoebiusMap(e) for e in group.elements]
-        acc_mat: Optional[RatMat] = None
-        for g in range(group.order):
-            g_inv = group.inv(g)
-            left = table[g_inv].compose_moebius(mobs[g]).submatrix(
-                range(r_cur), range(k, r_cur)
-            )
-            term = left * table[g].submatrix(range(k, r_cur), range(k, r_cur))
-            acc_mat = term if acc_mat is None else acc_mat + term
-        assert acc_mat is not None
-        scale = RatFun.const(CycNum.from_int(n, group.order).inv())
-        psi_tilde = acc_mat.scale(scale)
+        identity = RatMat.identity(n, r_cur)
+        inclusion = identity.submatrix(every, bottom)
+        psi_tilde = _average(
+            group, table, inclusion, [a.submatrix(bottom, bottom) for a in table]
+        )
         # Certificates: polynomial entries with the right degree bounds, unit
         # bottom block, and exact equivariance.
-        degrees_rows: list[int] = []
-        for d, m in cur_blocks:
-            degrees_rows.extend([d] * m)
-        for i in range(r_cur):
-            for j in range(r_bot):
-                e = psi_tilde.entries[i][j]
+        degrees_rows = [d for d, m in cur_blocks for _ in range(m)]
+        for row_degree, row in zip(degrees_rows, psi_tilde.entries):
+            for e in row:
                 if not e.is_polynomial():
                     raise InvalidStructure("averaged splitting is not holomorphic")
-                if not e.is_zero() and e.num.degree() > degrees_rows[i] - delta:
+                if not e.is_zero() and e.num.degree() > row_degree - delta:
                     raise InvalidStructure("averaged splitting violates degree bounds")
-        bottom = psi_tilde.submatrix(range(k, r_cur), range(r_bot))
-        if not bottom.is_identity():
-            raise InvalidStructure("averaged splitting is not a right inverse")
-        for t, a_mat in enumerate(cur_action):
-            mob = MoebiusMap(group.elements[group.generator_indices[t]])
-            lhs = a_mat * psi_tilde
-            rhs = psi_tilde.compose_moebius(mob) * quot_action[t]
-            if lhs != rhs:
-                raise InvalidStructure("averaged splitting is not equivariant")
+        projection = identity.submatrix(bottom, every)
+        _check_averaged(group, cur_action, quot_action, projection, psi_tilde)
         stage_cert = {
             "block_degree": delta,
             "block_rank": r_bot,
@@ -545,37 +502,25 @@ def classify_with_certificates(
         }
         if with_data:
             stage_cert["data"] = {
-                "generators": [
-                    group.elements[gi] for gi in group.generator_indices
-                ],
+                "generators": list(gens),
                 "action": list(cur_action),
                 "quotient_action": list(quot_action),
                 "psi_tilde": psi_tilde,
             }
         certificates["averaging"].append(stage_cert)
-        # Change frame so the complement becomes a coordinate block.
-        psi_top = psi_tilde.submatrix(range(k), range(r_bot))
+        # Change frame so the complement becomes a coordinate block: the
+        # frame is [I_k | psi_tilde] and, psi_tilde having unit bottom block,
+        # its inverse is 2I - frame.
+        frame = identity.submatrix(every, top).hstack(psi_tilde)
+        frame_inv = identity + identity - frame
         new_action = []
-        for t, a_mat in enumerate(cur_action):
-            mob = MoebiusMap(group.elements[group.generator_indices[t]])
-            frame = RatMat.identity(n, r_cur)
-            frame_rows = [list(row) for row in frame.entries]
-            for i in range(k):
-                for j in range(r_bot):
-                    frame_rows[i][k + j] = psi_top.entries[i][j]
-            frame = RatMat(frame_rows)
-            frame_inv_rows = [list(row) for row in RatMat.identity(n, r_cur).entries]
-            for i in range(k):
-                for j in range(r_bot):
-                    frame_inv_rows[i][k + j] = -psi_top.entries[i][j]
-            frame_inv = RatMat(frame_inv_rows)
-            transformed = frame_inv.compose_moebius(mob) * a_mat * frame
-            top_right = transformed.submatrix(range(k), range(k, r_cur))
-            if not top_right.is_zero():
+        for g, a_mat in zip(gens, cur_action):
+            transformed = frame_inv.compose_moebius(MoebiusMap(g)) * a_mat * frame
+            if not transformed.submatrix(top, bottom).is_zero():
                 raise InvalidStructure("frame change failed to decouple the block")
-            new_action.append(transformed)
+            new_action.append(transformed.submatrix(top, top))
         block_gen_actions.append(quot_action)
-        cur_action = [a.submatrix(range(k), range(k)) for a in new_action]
+        cur_action = new_action
         cur_blocks = cur_blocks[:-1]
     block_gen_actions.append(cur_action)
     block_gen_actions.reverse()  # now aligned with blocks (descending degree)
@@ -604,10 +549,9 @@ def classify(bundle: EquivariantBundle, validate_level: str = "relations") -> Ca
 
 def extract_module(bundle: EquivariantBundle) -> Representation:
     """Module of a semistable piece: all splitting degrees must be equal."""
-    fact = birkhoff_factor(bundle.base)
-    if len(set(fact.degrees)) != 1:
-        raise MathRejection("input is not semistable; degrees are not all equal")
     cf = classify(bundle)
+    if len(cf.entries) != 1:
+        raise MathRejection("input is not semistable; degrees are not all equal")
     return cf.entries[0].module
 
 
@@ -616,16 +560,20 @@ def extract_module(bundle: EquivariantBundle) -> Representation:
 
 
 def _lift_for_entry(
-    group: GroupLike, t: int, entry: CanonicalEntry, gamma: Optional[SplittingHom]
+    group: GroupLike, t: int, degree: int, parity: str, gamma: Optional[SplittingHom]
 ) -> SL2Elem:
-    """The SL(2, C) lift of generator t that the entry's degree transforms by."""
+    """The SL(2, C) lift of generator t for a summand of this degree and parity.
+
+    Odd plain summands over a projective group take gamma's lift of the
+    generator's element, the one its spanning-tree extension assigns.
+    """
     if isinstance(group, FiniteMatrixGroup):
         return group.elements[group.generator_indices[t]]
-    if entry.degree % 2 == 0 or entry.parity == "odd_twist":
+    if degree % 2 == 0 or parity == "odd_twist":
         return group.generator_reps[t]
     if gamma is None:
         raise InvalidStructure("odd plain entry over a non-split projective group")
-    return gamma.gen_lifts[t]
+    return gamma.lift_of(group, group.generator_indices[t])
 
 
 def build_from_canonical(
@@ -681,7 +629,7 @@ def build_from_canonical(
         ]
         offset = 0
         for entry in cf.entries:
-            lift = _lift_for_entry(group, t, entry, gamma)
+            lift = _lift_for_entry(group, t, entry.degree, entry.parity, gamma)
             factor = automorphy_factor(lift, entry.degree)
             if isinstance(group, PGLGroup) and entry.parity == "odd_twist":
                 img = entry.module.image(entry.module.group.element_index(lift))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .cyclotomic import CycNum
 from .errors import MalformedInput
 from .linalg import Matrix
-from .matgroup import FiniteMatrixGroup, SL2Elem
+from .matgroup import SL2Elem, trivial_representation
 from .ratfun import Poly, RatFun
 
 __all__ = [
@@ -128,31 +128,7 @@ def natural_structure(degree: int, group, gamma=None):
     group only even degrees lift; odd degrees require a splitting
     homomorphism (supplied as gamma, mapping generator cosets to lifts).
     """
-    from .equivariant import EquivariantBundle
-    from .bundle import TransitionCocycle
-    from .extensions import PGLGroup
-    from .errors import ParityObstruction
-    from .ratfun import RatMat
+    from .equivariant import CanonicalEntry, CanonicalForm, build_from_canonical
 
-    if isinstance(group, PGLGroup):
-        n = group.n
-        if degree % 2 != 0 and gamma is None:
-            gamma = group.splitting()
-            if gamma is None:
-                raise ParityObstruction(
-                    "odd degree over a projective group whose central extension does not split"
-                )
-        lifts = []
-        for rep in group.generator_reps:
-            if degree % 2 != 0:
-                lifts.append(gamma.lift_of(group, group.coset_index(rep)))
-            else:
-                lifts.append(rep)
-    elif isinstance(group, FiniteMatrixGroup):
-        n = group.n
-        lifts = [group.elements[i] for i in group.generator_indices]
-    else:
-        raise MalformedInput("expected a matrix group or a projective group")
-    base = TransitionCocycle(1, RatMat([[RatFun.monomial(CycNum.one(n), degree)]]))
-    action = [RatMat([[automorphy_factor(g, degree)]]) for g in lifts]
-    return EquivariantBundle(base, group, action)
+    trivial = CanonicalEntry(degree, trivial_representation(group))
+    return build_from_canonical(CanonicalForm([trivial]), group, gamma)

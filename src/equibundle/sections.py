@@ -33,7 +33,7 @@ def sections_module(cf: CanonicalForm, group, gamma: SplittingHom | None = None)
             continue
         gen_images = []
         for t in range(len(group.generator_indices)):
-            lift = _lift_for_entry(group, t, entry, gamma)
+            lift = _lift_for_entry(group, t, entry.degree, entry.parity, gamma)
             sym = sym_power_matrix(lift, d)
             if isinstance(group, PGLGroup) and entry.parity == "odd_twist":
                 mod_img = entry.module.image(entry.module.group.element_index(lift))

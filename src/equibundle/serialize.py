@@ -59,6 +59,19 @@ def _expect(cond: bool, message: str) -> None:
         raise MalformedInput(message)
 
 
+def _int_field(data: dict, key: str) -> int:
+    """data[key] as an integer, written as a JSON integer or a decimal string."""
+    value = data.get(key)
+    _expect(
+        isinstance(value, (int, str)) and not isinstance(value, bool),
+        f"{key} must be an integer, got {value!r}",
+    )
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise MalformedInput(f"{key} must be an integer, got {value!r}") from exc
+
+
 def cyc_to_json(c: CycNum) -> dict:
     return {
         "modulus": c.n,
@@ -67,8 +80,8 @@ def cyc_to_json(c: CycNum) -> dict:
 
 
 def cyc_from_json(data: Any) -> CycNum:
-    _expect(isinstance(data, dict) and "modulus" in data and "coeffs" in data, "bad scalar")
-    n = int(data["modulus"])
+    _expect(isinstance(data, dict) and "coeffs" in data, "bad scalar")
+    n = _int_field(data, "modulus")
     coeffs = data["coeffs"]
     _expect(isinstance(coeffs, list) and len(coeffs) == euler_phi(n), "bad coefficient count")
     fracs = []
@@ -121,9 +134,9 @@ def cocycle_to_json(c: TransitionCocycle) -> dict:
 
 
 def cocycle_from_json(data: Any) -> TransitionCocycle:
-    _expect(isinstance(data, dict) and "rank" in data and "transition" in data, "bad cocycle file")
-    n = int(data["modulus"])
-    return TransitionCocycle(int(data["rank"]), ratmat_from_json(n, data["transition"]))
+    _expect(isinstance(data, dict) and "transition" in data, "bad cocycle file")
+    n = _int_field(data, "modulus")
+    return TransitionCocycle(_int_field(data, "rank"), ratmat_from_json(n, data["transition"]))
 
 
 def _elem_to_json(g: SL2Elem) -> list:
@@ -171,13 +184,10 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data: Any, cap: int = DEFAULT_CLOSURE_CAP, group=None) -> Representation:
-    _expect(
-        isinstance(data, dict) and "dim" in data and "generator_images" in data,
-        "bad representation file",
-    )
+    _expect(isinstance(data, dict) and "generator_images" in data, "bad representation file")
     if group is None:
         group = group_from_json(data["group"], cap=cap)
-    dim = int(data["dim"])
+    dim = _int_field(data, "dim")
     if dim == 0:
         return Representation.zero_module(group)
     images = [
@@ -231,8 +241,9 @@ def canonical_form_from_json(data: Any, cap: int = DEFAULT_CLOSURE_CAP) -> Canon
     _expect(isinstance(data, dict) and "entries" in data, "bad canonical form file")
     entries = []
     for e in data["entries"]:
+        _expect(isinstance(e, dict) and "module" in e, "bad canonical form entry")
         module = representation_from_json(e["module"], cap=cap)
-        entries.append(CanonicalEntry(int(e["degree"]), module, e.get("parity", "plain")))
+        entries.append(CanonicalEntry(_int_field(e, "degree"), module, e.get("parity", "plain")))
     return CanonicalForm(entries)
 
 

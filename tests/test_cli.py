@@ -149,12 +149,16 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert report["error"] == "malformed_input"
     # A zero denominator inside an otherwise well-formed cocycle file;
     # run_cli parses the whole of stdout, so it must be one JSON object.
-    data = serialize.cocycle_to_json(TransitionCocycle(1, RatMat([[RatFun.one(4)]])))
-    data["transition"][0][0]["num"][0]["coeffs"][0] = ["1", "0"]
-    path.write_text(serialize.dumps(data))
-    code, report = run_cli(capsys, "split", "--input", str(path))
-    assert code == 2
-    assert report["error"] == "malformed_input"
+    good = serialize.cocycle_to_json(TransitionCocycle(1, RatMat([[RatFun.one(4)]])))
+    zero_den = json.loads(json.dumps(good))
+    zero_den["transition"][0][0]["num"][0]["coeffs"][0] = ["1", "0"]
+    bad_modulus = dict(good, modulus="x")
+    no_modulus = {k: v for k, v in good.items() if k != "modulus"}
+    for data in (zero_den, bad_modulus, no_modulus):
+        path.write_text(serialize.dumps(data))
+        code, report = run_cli(capsys, "split", "--input", str(path))
+        assert code == 2
+        assert report["error"] == "malformed_input"
 
 
 def test_verify_determinism_byte_identical(tmp_path, capsys):

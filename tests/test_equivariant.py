@@ -6,7 +6,8 @@ import weakref
 
 import pytest
 
-from equibundle.bundle import splitting_type
+from equibundle import equivariant
+from equibundle.bundle import birkhoff_factor, splitting_type
 from equibundle.cyclotomic import CycNum
 from equibundle.equivariant import (
     CanonicalEntry,
@@ -228,6 +229,18 @@ def test_extract_module_rejects_unstable():
         extract_module(e)
 
 
+
+def test_extract_module_factors_once(monkeypatch):
+    calls = []
+
+    def counting(cocycle):
+        calls.append(cocycle)
+        return birkhoff_factor(cocycle)
+
+    monkeypatch.setattr(equivariant, "birkhoff_factor", counting)
+    extract_module(natural_structure(1, c4_group()))
+    assert len(calls) == 1
+
 @pytest.mark.parametrize(
     "family,param",
     [("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("binary_dihedral", 2)],
@@ -308,6 +321,19 @@ def test_extract_module_nonsplit_pgl_odd_piece():
     assert module.is_odd_twist()
     assert module_isomorphic(module, standard_representation(pre))
 
+
+
+def test_odd_plain_entry_over_generator_listed_twice():
+    # The sign search settles on gen_lifts (-r, r); both generators name the
+    # same element, so both must act by the one lift its tree path assigns.
+    from equibundle.extensions import pgl_group
+
+    r = catalog("cyclic", 6).generators[0]
+    h = pgl_group([r, r])
+    cf = CanonicalForm([CanonicalEntry(1, trivial_representation(h))])
+    bundle = build_from_canonical(cf, h)
+    assert bundle.gen_action[0] == bundle.gen_action[1]
+    assert classify(bundle).equal_up_to_iso(cf)
 
 def test_intro_existence_every_type_admits_structure():
     # Natural structures assemble to an equivariant structure on any

@@ -1,0 +1,80 @@
+"""Golden byte-identity of the classification output.
+
+The determinism tests compare two runs of the same code; these digests pin
+the bytes themselves, so a refactor of the pipeline must reproduce the
+recorded canonical forms, certificates and averaged splittings exactly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from equibundle import serialize
+from equibundle.cli import main
+from equibundle.equivariant import build_from_canonical, classify_with_certificates
+from equibundle.extensions import pgl_group
+from equibundle.matgroup import catalog
+from equibundle.plant import (
+    conjugated_modules,
+    random_canonical_form,
+    random_retrivialization,
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _planted(group, seed: int):
+    rng = random.Random(seed)
+    cf = random_canonical_form(rng, group, min_deg=-2, max_deg=2, max_dim=2)
+    planted = conjugated_modules(rng, cf)
+    return cf, random_retrivialization(rng, build_from_canonical(planted, group))
+
+
+# (group, seed, planted (degree, parity) pairs, classify stdout digest,
+#  one digest per serialized averaged splitting)
+CASES = {
+    "sl2_two_blocks": (
+        lambda: catalog("binary_dihedral", 2).group(),
+        0,
+        [(1, "plain"), (-2, "plain")],
+        "b2cb6b479abc64253a8bd5499bda17da6b47ce035542604c3f5a1e3a107707f6",
+        ["772a62ee7224ddec5696075d39ad45efc692286437f4b5b6f7e02b967bf41665"],
+    ),
+    "pgl_split_odd": (
+        lambda: pgl_group(catalog("cyclic", 6).generators),
+        0,
+        [(1, "plain"), (-2, "plain")],
+        "8aad75cfe519348c7c56d49a7f0fa22880d3dc81e0cb00f65b3261e511bd2bd8",
+        ["a9a67d0ca27e48dc6c51f57e8c2720866d1ede44407835860a565137ce013407"],
+    ),
+    "pgl_nonsplit_odd_twist": (
+        lambda: pgl_group(catalog("binary_dihedral", 2).generators),
+        0,
+        [(1, "odd_twist"), (-2, "plain")],
+        "71818abbe9667652053d8512218ba9e708ca91dba995164ffce3e14fec1d45f0",
+        ["bd07a154483ab16d52ff0cbb24399cd9a9a149f860f30b6331f8e884e299ca54"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_classify_output_bytes_pinned(name, tmp_path, capsys):
+    make_group, seed, planted_entries, stdout_sha, psi_shas = CASES[name]
+    group = make_group()
+    cf, bundle = _planted(group, seed)
+    assert [(e.degree, e.parity) for e in cf.entries] == planted_entries
+    path = tmp_path / "bundle.json"
+    path.write_text(serialize.dumps(serialize.bundle_to_json(bundle)))
+    assert main(["classify", "--input", str(path)]) == 0
+    assert _sha(capsys.readouterr().out) == stdout_sha
+    _, certs = classify_with_certificates(bundle, with_data=True)
+    digests = [
+        _sha(serialize.dumps(serialize.ratmat_to_json(stage["data"]["psi_tilde"])))
+        for stage in certs["averaging"]
+    ]
+    assert digests == psi_shas

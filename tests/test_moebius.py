@@ -15,8 +15,8 @@ from equibundle.moebius import (
     natural_structure,
     sym_power_matrix,
 )
-from equibundle.extensions import pgl_group
-from equibundle.ratfun import Poly
+from equibundle.extensions import extension_splits, pgl_group
+from equibundle.ratfun import Poly, RatFun, RatMat
 
 
 def point(n: int, x: int, y: int):
@@ -136,3 +136,37 @@ def test_sym_one_is_standard_up_to_conjugation():
         assert m[0][1] == -elem.b
         assert m[1][0] == -elem.c
         assert m[1][1] == elem.d
+
+
+def test_natural_structure_pinned_matrices():
+    def line(f):
+        return RatMat([[f]])
+
+    # Matrix group: generator g acts by (c z + d)^(-degree).
+    g = catalog("binary_dihedral", 2).group()  # diag(i, -i) and [[0, 1], [-1, 0]]
+    e = natural_structure(3, g)
+    assert e.base.transition == line(RatFun.monomial(CycNum.one(4), 3))
+    assert e.gen_action == (
+        line(RatFun.const(CycNum.zeta(4, 3))),
+        line(RatFun.monomial(CycNum.from_int(4, -1), -3)),
+    )
+    # Even degree over a projective group: the sign of the lift cancels.
+    h = pgl_group([SL2Elem.from_ints(4, 0, 1, -1, 0)])
+    e = natural_structure(2, h)
+    assert e.base.transition == line(RatFun.monomial(CycNum.one(4), 2))
+    assert e.gen_action == (line(RatFun.monomial(CycNum.one(4), -2)),)
+    # Odd degree with an explicit splitting.  The generator is listed twice,
+    # so the sign search settles on gen_lifts = (-r, r) while the spanning
+    # tree reaches both generators through generator 0; every generator
+    # transforms by the tree lift -r = diag(-zeta_6, -zeta_6^(-1)).
+    r = catalog("cyclic", 6).generators[0]
+    h = pgl_group([r, r])
+    gamma = extension_splits(h)
+    assert gamma.gen_lifts == (-r, r)
+    assert [gamma.lift_of(h, i) for i in h.generator_indices] == [-r, -r]
+    e = natural_structure(1, h, gamma=gamma)
+    assert e.base.transition == line(RatFun.monomial(CycNum.one(6), 1))
+    assert e.gen_action == (line(RatFun.const(CycNum.zeta(6, 4))),) * 2
+    # Odd degree over a non-split projective group has no natural structure.
+    with pytest.raises(ParityObstruction):
+        natural_structure(1, pgl_group([SL2Elem.from_ints(4, 0, 1, -1, 0)]))

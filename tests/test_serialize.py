@@ -120,3 +120,7 @@ def test_malformed_input_raises():
     for bad_pair in (["1", "0"], ["x", "1"], ["1"], 5):
         with pytest.raises(MalformedInput):
             serialize.cyc_from_json({"modulus": 4, "coeffs": [["1", "1"], bad_pair]})
+    transition = serialize.ratmat_to_json(RatMat([[RatFun.one(4)]]))
+    for bad_modulus in ({"modulus": "x"}, {}):
+        with pytest.raises(MalformedInput):
+            serialize.cocycle_from_json({"rank": 1, "transition": transition, **bad_modulus})
