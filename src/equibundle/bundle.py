@@ -330,20 +330,29 @@ def _left_hermite(mat: list[list[Poly]]) -> tuple[RatMat, list[list[Poly]]]:
     n = mat[0][0].n
     size = len(mat)
     h = [list(row) for row in mat]
-    l_inv_ops: list[tuple] = []  # operations applied to mat on the left
+    # mat = L * h throughout: each row operation on h is undone on L's columns.
+    one, zero = RatFun.one(n), RatFun.zero(n)
+    l_rows = [[one if i == j else zero for j in range(size)] for i in range(size)]
 
     def row_axpy(dst: int, src: int, q: Poly) -> None:
-        # h[dst] -= q * h[src]
+        # h[dst] -= q * h[src]; L[:, src] += L[:, dst] * q
         h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
-        l_inv_ops.append(("axpy", dst, src, q))
+        qf = RatFun.from_poly(q)
+        for row in l_rows:
+            row[src] = row[src] + row[dst] * qf
 
     def row_swap(i: int, j: int) -> None:
         h[i], h[j] = h[j], h[i]
-        l_inv_ops.append(("swap", i, j))
+        for row in l_rows:
+            row[i], row[j] = row[j], row[i]
 
     def row_scale(i: int, c: CycNum) -> None:
-        h[i] = [a.scale(c) for a in h[i]]
-        l_inv_ops.append(("scale", i, c))
+        # h[i] *= 1/c; L[:, i] *= c
+        c_inv = c.inv()
+        h[i] = [a.scale(c_inv) for a in h[i]]
+        cf = RatFun.const(c)
+        for row in l_rows:
+            row[i] = row[i] * cf
 
     for col in range(size):
         while True:
@@ -360,33 +369,12 @@ def _left_hermite(mat: list[list[Poly]]) -> tuple[RatMat, list[list[Poly]]]:
             row_axpy(hi, lo, q)
         pivot = h[col][col]
         if not pivot.lead().is_one():
-            row_scale(col, pivot.lead().inv())
+            row_scale(col, pivot.lead())
             pivot = h[col][col]
         for i in range(col):
             if h[i][col].degree() >= pivot.degree():
                 q = h[i][col] // pivot
                 row_axpy(i, col, q)
-    # Build L = product of inverse operations applied to the identity.
-    one, zero = RatFun.one(n), RatFun.zero(n)
-    l_rows = [[one if i == j else zero for j in range(size)] for i in range(size)]
-    # mat = L * h where L undoes the recorded row operations in reverse.
-    for op in l_inv_ops:
-        if op[0] == "axpy":
-            _, dst, src, q = op
-            qf = RatFun.from_poly(q)
-            # inverse of (row dst -= q row src) acting on columns of L:
-            # L <- L * E^{-1} where E^{-1} adds q at (src column combination)
-            for i in range(size):
-                l_rows[i][src] = l_rows[i][src] + l_rows[i][dst] * qf
-        elif op[0] == "swap":
-            _, a, b = op
-            for i in range(size):
-                l_rows[i][a], l_rows[i][b] = l_rows[i][b], l_rows[i][a]
-        else:
-            _, a, c = op
-            cf = RatFun.const(c.inv())
-            for i in range(size):
-                l_rows[i][a] = l_rows[i][a] * cf
     return RatMat(l_rows), h
 
 

@@ -132,10 +132,8 @@ def cmd_iso(args) -> dict:
 def cmd_sections(args) -> dict:
     data = _load_json(args.input)
     cf = serialize.canonical_form_from_json(data, cap=args.max_order)
-    groups = {id(e.module.group): e.module.group for e in cf.entries if e.parity == "plain"}
-    if groups:
-        group = next(iter(groups.values()))
-    else:
+    group = next((e.module.group for e in cf.entries if e.parity == "plain"), None)
+    if group is None:
         # all entries odd twist: the acting group is the projective quotient
         preimage = cf.entries[0].module.group
         gens = [

@@ -188,6 +188,11 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
         table = bundle.action_table()
     except (SingularMatrix, MathRejection) as exc:
         return ValidationReport(checked, [{"kind": "table_extension_failed", "detail": str(exc)}])
+    # The tree reaches a generator listed twice (or the identity) through
+    # another edge, so the checks below never read that generator's matrix.
+    for t, gi in enumerate(group.generator_indices):
+        if table[gi] != bundle.gen_action[t]:
+            violations.append({"kind": "generator_action_mismatch", "generator": t})
     mobs = [MoebiusMap(e) for e in group.elements]
     if level == "all":
         pair_iter = ((i, j) for i in range(group.order) for j in range(group.order))

@@ -1,10 +1,14 @@
-"""Dense exact linear algebra over a cyclotomic field.
+"""Dense exact linear algebra, generic over the entry type.
 
-Matrices are immutable-by-convention lists of lists of CycNum.  Pivoting is
-deterministic (first nonzero entry), so reduced forms and nullspace bases are
-reproducible.  rref is the one Gauss-Jordan elimination in the package:
-rref, rank, nullspace and mat_inv use only is_zero, inv, ring operations and
-the entry type's one/zero, so they serve CycNum and RatFun entries alike.
+Matrices are immutable-by-convention lists of lists whose entries are CycNum
+(a cyclotomic field) or RatFun (rational functions over it); RatMat keeps
+its entries in this form and calls these loops.  identity_matrix and
+zero_matrix build CycNum matrices; every other routine uses only ring
+operations, is_zero, is_one, inv and the entry type's one/zero, so both
+entry types run the same code.  Pivoting is deterministic (first nonzero
+entry), so reduced forms and nullspace bases are reproducible.  rref is the
+one Gauss-Jordan elimination in the package; mat_inv uses the closed-form
+adjugate up to size 3 and rref of [A | I] above it.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ def zero_matrix(n: int, rows: int, cols: int) -> Matrix:
     return [[zero] * cols for _ in range(rows)]
 
 
+def _zero_like(x):
+    return type(x).zero(x.n)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise DimensionMismatch("matrix product shape mismatch")
-    n = a[0][0].n
-    zero = CycNum.zero(n)
+    zero = _zero_like(a[0][0])
     bt = list(zip(*b))
     out = []
     for row in a:
@@ -45,8 +52,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: list[CycNum]) -> list[CycNum]:
-    n = a[0][0].n
-    zero = CycNum.zero(n)
+    zero = _zero_like(a[0][0])
     out = []
     for row in a:
         acc = zero
@@ -74,7 +80,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def mat_trace(a: Matrix) -> CycNum:
-    acc = CycNum.zero(a[0][0].n)
+    acc = _zero_like(a[0][0])
     for i in range(len(a)):
         acc = acc + a[i][i]
     return acc
@@ -95,11 +101,44 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
+def mat_det_small(a: Matrix) -> CycNum:
+    """Determinant of a square matrix of size 1 to 3, by cofactor expansion."""
+    if len(a) == 1:
+        return a[0][0]
+    if len(a) == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
 def mat_inv(a: Matrix) -> Matrix:
-    """Inverse as the right half of rref([A | I])."""
+    """Inverse: adjugate over determinant up to size 3, else the right half of rref([A | I])."""
     size = len(a)
     if any(len(row) != size for row in a):
         raise DimensionMismatch("inverse of a non-square matrix")
+    if size <= 3:
+        d = mat_det_small(a)
+        if d.is_zero():
+            raise SingularMatrix("matrix is singular")
+        dinv = d.inv()
+        if size == 1:
+            return [[dinv]]
+        if size == 2:
+            return [[a[1][1] * dinv, -a[0][1] * dinv], [-a[1][0] * dinv, a[0][0] * dinv]]
+        return [
+            [
+                (
+                    a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+                    - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
+                )
+                * dinv
+                for i in range(3)
+            ]
+            for j in range(3)
+        ]
     entry_type, n = type(a[0][0]), a[0][0].n
     one, zero = entry_type.one(n), entry_type.zero(n)
     aug = [list(row) + [one if i == j else zero for j in range(size)] for i, row in enumerate(a)]
@@ -158,12 +197,12 @@ def nullspace(a: Matrix) -> list[list[CycNum]]:
     """Basis of the right kernel, deterministic order (free columns ascending)."""
     if not a:
         return []
-    n = a[0][0].n
+    entry_type, n = type(a[0][0]), a[0][0].n
     ncols = len(a[0])
     reduced, pivots = rref(a)
     pivot_set = set(pivots)
     free_cols = [j for j in range(ncols) if j not in pivot_set]
-    zero, one = CycNum.zero(n), CycNum.one(n)
+    zero, one = entry_type.zero(n), entry_type.one(n)
     basis = []
     for fc in free_cols:
         vec = [zero] * ncols

@@ -22,7 +22,7 @@ from .equivariant import (
 )
 from .errors import MathRejection, SingularMatrix
 from .extensions import PGLGroup
-from .linalg import mat_inv
+from .linalg import Matrix, mat_inv
 from .matgroup import FiniteMatrixGroup, Representation
 from .moebius import sym_power_matrix
 from .ratfun import Poly, RatFun, RatMat
@@ -51,52 +51,21 @@ def _rand_poly(rng: random.Random, n: int, max_deg: int) -> Poly:
     return Poly(n, coeffs)
 
 
-def _max_entry_degree_z(m: RatMat) -> int:
+def _max_entry_degree(m: RatMat, in_w: bool) -> int:
+    """Largest entry degree in z, or in w = 1/z when in_w."""
     out = 0
     for row in m.entries:
         for e in row:
             if not e.is_zero():
-                out = max(out, e.laurent_bounds()[1])
+                lo, hi = e.laurent_bounds()
+                out = max(out, -lo if in_w else hi)
     return out
 
 
-def _max_entry_degree_w(m: RatMat) -> int:
-    out = 0
-    for row in m.entries:
-        for e in row:
-            if not e.is_zero():
-                out = max(out, -e.laurent_bounds()[0])
-    return out
-
-
-def random_unimodular_z(
-    rng: random.Random, n: int, size: int, entry_cap: int = 3, ops: Optional[int] = None
+def _random_unimodular(
+    rng: random.Random, n: int, size: int, entry_cap: int, ops: Optional[int], in_w: bool
 ) -> RatMat:
-    """Unimodular polynomial matrix with all entry degrees at most entry_cap."""
-    while True:
-        m = RatMat.identity(n, size)
-        count = ops if ops is not None else rng.randint(1, 2 * size)
-        for _ in range(count):
-            if size > 1 and rng.random() >= 0.25:
-                i, j = rng.sample(range(size), 2)
-                e = RatMat.identity(n, size).with_entry(
-                    i, j, RatFun.from_poly(_rand_poly(rng, n, min(2, entry_cap)))
-                )
-            else:
-                i = rng.randrange(size)
-                c = _rand_cyc(rng, n)
-                while c.is_zero():
-                    c = _rand_cyc(rng, n)
-                e = RatMat.identity(n, size).with_entry(i, i, RatFun.const(c))
-            m = m * e
-        if _max_entry_degree_z(m) <= entry_cap:
-            return m
-
-
-def random_unimodular_w(
-    rng: random.Random, n: int, size: int, entry_cap: int = 3, ops: Optional[int] = None
-) -> RatMat:
-    """Unimodular matrix over C[1/z] with w-degrees at most entry_cap."""
+    """Product of random elementary and diagonal factors over C[z], or C[1/z] when in_w."""
     while True:
         m = RatMat.identity(n, size)
         count = ops if ops is not None else rng.randint(1, 2 * size)
@@ -104,9 +73,10 @@ def random_unimodular_w(
             if size > 1 and rng.random() >= 0.25:
                 i, j = rng.sample(range(size), 2)
                 p = _rand_poly(rng, n, min(2, entry_cap))
-                entry = RatFun.from_laurent(
-                    n, -p.degree(), list(reversed(p.coeffs))
-                ) if not p.is_zero() else RatFun.zero(n)
+                if in_w and not p.is_zero():
+                    entry = RatFun.from_laurent(n, -p.degree(), list(reversed(p.coeffs)))
+                else:
+                    entry = RatFun.from_poly(p)
                 e = RatMat.identity(n, size).with_entry(i, j, entry)
             else:
                 i = rng.randrange(size)
@@ -115,8 +85,22 @@ def random_unimodular_w(
                     c = _rand_cyc(rng, n)
                 e = RatMat.identity(n, size).with_entry(i, i, RatFun.const(c))
             m = m * e
-        if _max_entry_degree_w(m) <= entry_cap:
+        if _max_entry_degree(m, in_w) <= entry_cap:
             return m
+
+
+def random_unimodular_z(
+    rng: random.Random, n: int, size: int, entry_cap: int = 3, ops: Optional[int] = None
+) -> RatMat:
+    """Unimodular polynomial matrix with all entry degrees at most entry_cap."""
+    return _random_unimodular(rng, n, size, entry_cap, ops, in_w=False)
+
+
+def random_unimodular_w(
+    rng: random.Random, n: int, size: int, entry_cap: int = 3, ops: Optional[int] = None
+) -> RatMat:
+    """Unimodular matrix over C[1/z] with w-degrees at most entry_cap."""
+    return _random_unimodular(rng, n, size, entry_cap, ops, in_w=True)
 
 
 def planted_cocycle(
@@ -268,19 +252,18 @@ def random_module(
     for p in parts[1:]:
         rep = rep.direct_sum(p)
     if conjugate and dim > 1:
-        n = group.n
-        while True:
-            s = [
-                [CycNum.from_int(n, rng.randint(-2, 2)) for _ in range(dim)]
-                for _ in range(dim)
-            ]
-            try:
-                s_inv = mat_inv(s)
-                break
-            except SingularMatrix:
-                continue
-        rep = rep.conjugate(s, s_inv)
+        rep = rep.conjugate(*_random_conjugator(rng, group.n, dim))
     return rep
+
+
+def _random_conjugator(rng: random.Random, n: int, dim: int) -> tuple[Matrix, Matrix]:
+    """(s, s^-1) for the first invertible integer matrix with entries in [-2, 2]."""
+    while True:
+        s = [[CycNum.from_int(n, rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
+        try:
+            return s, mat_inv(s)
+        except SingularMatrix:
+            continue
 
 
 def random_canonical_form(
@@ -313,24 +296,11 @@ def conjugated_modules(rng: random.Random, cf: CanonicalForm) -> CanonicalForm:
     entries = []
     for e in cf.entries:
         dim = e.module.dim
-        group = e.module.group
-        n = group.n
         if dim == 1:
             entries.append(CanonicalEntry(e.degree, e.module, e.parity))
             continue
-        while True:
-            s = [
-                [CycNum.from_int(n, rng.randint(-2, 2)) for _ in range(dim)]
-                for _ in range(dim)
-            ]
-            try:
-                s_inv = mat_inv(s)
-                break
-            except SingularMatrix:
-                continue
-        entries.append(
-            CanonicalEntry(e.degree, e.module.conjugate(s, s_inv), e.parity)
-        )
+        conjugator = _random_conjugator(rng, e.module.group.n, dim)
+        entries.append(CanonicalEntry(e.degree, e.module.conjugate(*conjugator), e.parity))
     return CanonicalForm(entries)
 
 

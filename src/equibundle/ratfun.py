@@ -16,9 +16,18 @@ from .errors import (
     DivisionByZero,
     MalformedInput,
     ModulusMismatch,
-    SingularMatrix,
 )
-from .linalg import mat_inv
+from .linalg import (
+    mat_add,
+    mat_det_small,
+    mat_inv,
+    mat_is_identity,
+    mat_is_zero,
+    mat_mul,
+    mat_neg,
+    mat_scale,
+    mat_vec,
+)
 
 __all__ = [
     "Poly",
@@ -592,9 +601,6 @@ class RatMat:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def transpose(self) -> RatMat:
-        return RatMat([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> RatMat:
         row_idx, col_idx = list(row_idx), list(col_idx)
         return RatMat([[self.entries[i][j] for j in col_idx] for i in row_idx])
@@ -618,89 +624,44 @@ class RatMat:
         return all(e.is_polynomial() for row in self.entries for e in row)
 
     def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i][j]
-                if i == j:
-                    if not e.is_one():
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        return self.is_square() and mat_is_identity(self.entries)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return mat_is_zero(self.entries)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: RatMat) -> RatMat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return RatMat(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return RatMat(mat_add(self.entries, other.entries))
 
     def __sub__(self, other: RatMat) -> RatMat:
         return self + other.neg()
 
     def neg(self) -> RatMat:
-        return RatMat([[-e for e in row] for row in self.entries])
+        return RatMat(mat_neg(self.entries))
 
     def scale(self, f: RatFun) -> RatMat:
-        return RatMat([[e * f for e in row] for row in self.entries])
+        return RatMat(mat_scale(self.entries, f))
 
     def __mul__(self, other: RatMat) -> RatMat:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"matrix product shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        other_t = other.transpose()
-        zero = RatFun.zero(self.n)
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in other_t.entries:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return RatMat(out)
+        return RatMat(mat_mul(self.entries, other.entries))
 
     def mul_vector(self, vec: list[RatFun]) -> list[RatFun]:
         if self.cols != len(vec):
             raise DimensionMismatch("matrix-vector shape mismatch")
-        zero = RatFun.zero(self.n)
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, b in zip(row, vec):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out.append(acc)
-        return out
+        return mat_vec(self.entries, vec)
 
     def det(self) -> RatFun:
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        r = self.rows
-        e = self.entries
-        if r == 1:
-            return e[0][0]
-        if r == 2:
-            return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-        if r == 3:
-            return (
-                e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-                - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-                + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-            )
+        if self.rows <= 3:
+            return mat_det_small(self.entries)
         return self._det_bareiss()
 
     def _det_bareiss(self) -> RatFun:
@@ -738,35 +699,6 @@ class RatMat:
         return RatFun(det_poly, scale)
 
     def inv(self) -> RatMat:
-        if not self.is_square():
-            raise DimensionMismatch("inverse of a non-square matrix")
-        r = self.rows
-        if r <= 3:
-            d = self.det()
-            if d.is_zero():
-                raise SingularMatrix("matrix determinant is zero")
-            dinv = d.inv()
-            if r == 1:
-                return RatMat([[dinv]])
-            e = self.entries
-            if r == 2:
-                return RatMat(
-                    [
-                        [e[1][1] * dinv, -e[0][1] * dinv],
-                        [-e[1][0] * dinv, e[0][0] * dinv],
-                    ]
-                )
-            cof = [
-                [
-                    (
-                        e[(i + 1) % 3][(j + 1) % 3] * e[(i + 2) % 3][(j + 2) % 3]
-                        - e[(i + 1) % 3][(j + 2) % 3] * e[(i + 2) % 3][(j + 1) % 3]
-                    )
-                    for i in range(3)
-                ]
-                for j in range(3)
-            ]
-            return RatMat([[c * dinv for c in row] for row in cof])
         return RatMat(mat_inv(self.entries))
 
     def compose_moebius(self, mob) -> RatMat:

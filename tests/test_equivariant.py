@@ -80,6 +80,21 @@ def test_corrupted_cocycle_law_detected():
     assert any(v["kind"] == "cocycle_law" for v in report.violations)
 
 
+def test_contradictory_action_of_generator_listed_twice_detected():
+    # The spanning tree reaches the element through generator 0 only, so the
+    # cocycle law and regularity never read generator 1's matrix.
+    s = SL2Elem.diag(CycNum.zeta(4))
+    g = generate_group([s, s])
+    e = natural_structure(1, g)
+    a = e.gen_action[0]
+    bad = EquivariantBundle(e.base, g, [a, a.scale(RatFun.const(CycNum.from_int(4, 5)))])
+    for level in ("all", "relations"):
+        report = validate_equivariance(bad, level=level)
+        assert report.violations == [{"kind": "generator_action_mismatch", "generator": 1}]
+    with pytest.raises(InvalidStructure, match="generator_action_mismatch"):
+        classify(bad)
+
+
 def test_sign_rescaling_is_a_character_twist():
     # Scaling the C4 generator action by -1 is the twist by the order-2
     # character, hence still a valid structure with a different module.

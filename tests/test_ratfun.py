@@ -218,3 +218,64 @@ def test_poly_reversal():
     p = Poly.from_ints(N, [1, 2, 3])
     assert p.reversed() == Poly.from_ints(N, [3, 2, 1])
     assert p.reversed(4) == Poly.from_ints(N, [0, 0, 3, 2, 1])
+
+
+def _rational_entry(rng: random.Random, n: int) -> RatFun:
+    """Zero, a Laurent polynomial, or a polynomial over (c z + d)^k, over Q(zeta_n) = Q."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return RatFun.zero(n)
+    coeffs = [CycNum.from_int(n, rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
+    if kind <= 2:
+        return RatFun.from_laurent(n, rng.randint(-2, 0), coeffs)
+    c, d = rng.choice([(1, 1), (1, -2), (2, 1), (0, 3), (-1, 2)])
+    lin = Poly.from_ints(n, [d, c])
+    return RatFun(Poly(n, coeffs), lin ** rng.randint(1, 2))
+
+
+def _to_sympy(f: RatFun, field, zs):
+    """f as an element of sympy's field QQ(z)."""
+
+    def poly(p: Poly):
+        return sum((c.num[0] * zs**i / c.den for i, c in enumerate(p.coeffs)), 0 * zs)
+
+    return field.from_sympy(poly(f.num)) / field.from_sympy(poly(f.den))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_det_and_inverse_match_sympy(n):
+    # Independent oracle for the cofactor formulas (sizes 1-3), Bareiss (det,
+    # size 4) and elimination (inverse, size 4); singular inputs must raise.
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    zs = sp.Symbol("z")
+    field = sp.QQ.frac_field(zs)
+    rng = random.Random(101 + n)
+    for size in (1, 2, 3, 4):
+        for singular in (False, False, True):
+            rows = [[_rational_entry(rng, n) for _ in range(size)] for _ in range(size)]
+            if singular:
+                # Last row: f * row 0 + g * row 1 (a zero row at size 1).
+                f, g = _rational_entry(rng, n), _rational_entry(rng, n)
+                below = rows[1] if size > 2 else [RatFun.zero(n)] * size
+                rows[-1] = [f * x + g * y for x, y in zip(rows[0], below)] if size > 1 else below
+            m = RatMat(rows)
+            ref = DomainMatrix(
+                [[_to_sympy(e, field, zs) for e in row] for row in rows], (size, size), field
+            )
+            ref_det = ref.det()
+            assert _to_sympy(m.det(), field, zs) == ref_det
+            if singular or not ref_det:
+                assert m.det().is_zero()
+                with pytest.raises(SingularMatrix):
+                    m.inv()
+                with pytest.raises(SingularMatrix):
+                    mat_inv(m.entries)
+                continue
+            ref_inv = ref.inv()
+            for inv in (m.inv().entries, mat_inv(m.entries)):
+                ours = DomainMatrix(
+                    [[_to_sympy(e, field, zs) for e in row] for row in inv], (size, size), field
+                )
+                assert ours == ref_inv
