@@ -194,13 +194,13 @@ class CycNum:
             raise ModulusMismatch(f"mixed moduli {self.n} and {other.n}")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.num)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.num[0] == 1 and all(c == 0 for c in self.num[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.num[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():

@@ -4,6 +4,23 @@ Laurent polynomials are represented as rational functions whose denominator
 is a power of z, so a single type serves both affine charts.  Every value is
 canonical: denominators are monic and coprime to numerators, which makes
 equality a coefficient comparison.  All types are immutable.
+
+Moebius substitution z -> (a z + b)/(c z + d) keeps a canonical value
+canonical without a gcd, provided a d - b c != 0 (so the map is a bijection
+of P^1).  For f = P/Q with P, Q coprime and k = max(deg P, deg Q), f composed
+with the map is P~/Q~, where P~ = sum_i P_i (a z + b)^i (c z + d)^(k - i) and
+Q~ likewise.  P~ and Q~ share no root:
+
+* at z0 with c z0 + d != 0, P~(z0) = (c z0 + d)^k P(w0) with
+  w0 = (a z0 + b)/(c z0 + d), and likewise for Q~, so a common root would
+  make w0 a common root of P and Q;
+* at the root z0 of c z + d (when c != 0), P~(z0) = P_k (a z0 + b)^k, where
+  a z0 + b != 0 because a d - b c != 0; whichever of P, Q has degree k has
+  P_k != 0, so its side does not vanish there, and the extra factor
+  (c z + d)^(k - deg) on the other side is coprime to it.
+
+One scaling by the inverse of the leading coefficient of Q~ then makes the
+result canonical.
 """
 
 from __future__ import annotations
@@ -474,18 +491,13 @@ class RatFun:
         return self.num.eval(point) * d.inv()
 
     def compose_moebius(self, mob) -> RatFun:
-        """Substitute z -> (a z + b)/(c z + d) for a Moebius map."""
-        a, b, c, d = mob.a, mob.b, mob.c, mob.d
-        n = self.n
-        lin_num = Poly(n, [b, a])
-        lin_den = Poly(n, [d, c])
-        pn = _poly_compose_pair(self.num, lin_num, lin_den)
-        pd = _poly_compose_pair(self.den, lin_num, lin_den)
-        dn, dd = self.num.degree(), self.den.degree()
-        # self(m(z)) = pn/(cz+d)^dn / (pd/(cz+d)^dd)
-        if dn >= dd:
-            return RatFun(pn, pd * lin_den ** (dn - dd))
-        return RatFun(pn * lin_den ** (dd - dn), pd)
+        """Substitute z -> (a z + b)/(c z + d); requires a d - b c != 0.
+
+        The substituted numerator and denominator are coprime (see the module
+        docstring), so the result is canonical without a gcd.  A map with
+        a d - b c = 0 raises MalformedInput.
+        """
+        return _MoebiusKernel(mob, self.n).apply(self)
 
     # -- comparisons --------------------------------------------------
 
@@ -503,22 +515,57 @@ class RatFun:
         return f"RatFun({self.num!r} / {self.den!r})"
 
 
-def _poly_compose_pair(p: Poly, lin_num: Poly, lin_den: Poly) -> Poly:
-    """Homogenized substitution: sum p_i * lin_num^i * lin_den^(deg p - i)."""
-    n = p.n
-    if p.is_zero():
-        return Poly.zero(n)
-    d = p.degree()
-    num_pows = [Poly.one(n)]
-    den_pows = [Poly.one(n)]
-    for _ in range(d):
-        num_pows.append(num_pows[-1] * lin_num)
-        den_pows.append(den_pows[-1] * lin_den)
-    acc = Poly.zero(n)
-    for i, c in enumerate(p.coeffs):
-        if not c.is_zero():
-            acc = acc + (num_pows[i] * den_pows[d - i]).scale(c)
-    return acc
+class _MoebiusKernel:
+    """Substitution z -> (a z + b)/(c z + d) shared by the entries of one call.
+
+    rows[k][i] = (a z + b)^i (c z + d)^(k - i) for i = 0..k, built on demand,
+    so substituting into a polynomial of degree at most k is a linear
+    combination of row k.  A rational function P/Q is substituted with the
+    row of degree max(deg P, deg Q) on both sides, which leaves the result
+    coprime when a d - b c != 0 (see the module docstring).
+    """
+
+    __slots__ = ("n", "lin_num", "lin_den", "rows")
+
+    def __init__(self, mob, n: int):
+        if (mob.a * mob.d - mob.b * mob.c).is_zero():
+            raise MalformedInput("Moebius map with zero determinant")
+        self.n = n
+        self.lin_num = Poly(n, [mob.b, mob.a])
+        self.lin_den = Poly(n, [mob.d, mob.c])
+        self.rows = [[Poly.one(n)]]
+
+    def _row(self, k: int) -> list[Poly]:
+        rows = self.rows
+        while len(rows) <= k:
+            last = rows[-1]
+            rows.append([p * self.lin_den for p in last] + [last[-1] * self.lin_num])
+        return rows[k]
+
+    def _substitute(self, p: Poly, row: list[Poly]) -> Poly:
+        out: list[Optional[CycNum]] = [None] * len(row)
+        for c, r in zip(p.coeffs, row):
+            if c.is_zero():
+                continue
+            for j, x in enumerate(r.coeffs):
+                if not x.is_zero():
+                    t = c * x
+                    out[j] = t if out[j] is None else out[j] + t
+        zero = CycNum.zero(self.n)
+        return Poly(self.n, [zero if x is None else x for x in out])
+
+    def apply(self, f: RatFun) -> RatFun:
+        k = max(f.num.degree(), f.den.degree())
+        if k <= 0:  # zero or constant
+            return f
+        row = self._row(k)
+        num = self._substitute(f.num, row)
+        den = self._substitute(f.den, row)
+        lead = den.coeffs[-1]
+        if not lead.is_one():
+            inv = lead.inv()
+            num, den = num.scale(inv), den.scale(inv)
+        return RatFun(num, den, _canonical=True)
 
 
 def invert_variable(f: RatFun) -> RatFun:
@@ -702,7 +749,13 @@ class RatMat:
         return RatMat(mat_inv(self.entries))
 
     def compose_moebius(self, mob) -> RatMat:
-        return RatMat([[e.compose_moebius(mob) for e in row] for row in self.entries])
+        """Substitute z -> (a z + b)/(c z + d) into every entry; requires a d - b c != 0.
+
+        One kernel serves all entries, so they share its power rows; each
+        result is canonical without a gcd, as in RatFun.compose_moebius.
+        """
+        kernel = _MoebiusKernel(mob, self.n)
+        return RatMat([[kernel.apply(e) for e in row] for row in self.entries])
 
     def eval(self, point: CycNum) -> list[list[CycNum]]:
         return [[e.eval(point) for e in row] for row in self.entries]

@@ -113,7 +113,9 @@ def ratfun_to_json(f: RatFun) -> dict:
 
 def ratfun_from_json(n: int, data: Any) -> RatFun:
     _expect(isinstance(data, dict) and "num" in data and "den" in data, "bad rational function")
-    return RatFun(_poly_from_json(n, data["num"]), _poly_from_json(n, data["den"]))
+    den = _poly_from_json(n, data["den"])
+    _expect(not den.is_zero(), "zero denominator polynomial")
+    return RatFun(_poly_from_json(n, data["num"]), den)
 
 
 def ratmat_to_json(m: RatMat) -> list:
@@ -122,6 +124,7 @@ def ratmat_to_json(m: RatMat) -> list:
 
 def ratmat_from_json(n: int, data: Any) -> RatMat:
     _expect(isinstance(data, list) and data, "bad matrix")
+    _expect(all(isinstance(row, list) and row for row in data), "bad matrix row")
     return RatMat([[ratfun_from_json(n, e) for e in row] for row in data])
 
 

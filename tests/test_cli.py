@@ -154,7 +154,10 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     zero_den["transition"][0][0]["num"][0]["coeffs"][0] = ["1", "0"]
     bad_modulus = dict(good, modulus="x")
     no_modulus = {k: v for k, v in good.items() if k != "modulus"}
-    for data in (zero_den, bad_modulus, no_modulus):
+    int_row = dict(good, transition=[5, 6])
+    zero_den_poly = json.loads(json.dumps(good))
+    zero_den_poly["transition"][0][0]["den"] = []
+    for data in (zero_den, bad_modulus, no_modulus, int_row, zero_den_poly):
         path.write_text(serialize.dumps(data))
         code, report = run_cli(capsys, "split", "--input", str(path))
         assert code == 2

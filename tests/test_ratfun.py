@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from equibundle import ratfun
 from equibundle.cyclotomic import CycNum
-from equibundle.errors import DivisionByZero, SingularMatrix
+from equibundle.errors import DivisionByZero, MalformedInput, SingularMatrix
 from equibundle.linalg import mat_inv
+from equibundle.matgroup import catalog
+from equibundle.moebius import MoebiusMap
 from equibundle.ratfun import (
     Poly,
     RatFun,
@@ -279,3 +282,82 @@ def test_det_and_inverse_match_sympy(n):
                     [[_to_sympy(e, field, zs) for e in row] for row in inv], (size, size), field
                 )
                 assert ours == ref_inv
+
+
+# (a, b, c, d): determinant 1 and not, and each of c, a, b, d zero in turn.
+_COMPOSE_MAPS = [
+    (2, 1, 1, 1),
+    (3, 1, 1, 2),
+    (1, 2, 0, 3),
+    (-2, 0, 0, 1),
+    (0, 1, -2, 3),
+    (2, 0, 1, 1),
+    (1, 1, -1, 0),
+    (0, 2, 3, 0),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compose_matches_sympy(n):
+    # Independent oracle for the substitution kernel: sympy's z -> (az+b)/(cz+d)
+    # in QQ(z).  Results must come out canonical without a further reduction.
+    sp = pytest.importorskip("sympy")
+
+    zs = sp.Symbol("z")
+    field = sp.QQ.frac_field(zs)
+    rng = random.Random(211 + n)
+    for a, b, c, d in _COMPOSE_MAPS:
+        mob = Mob(*(CycNum.from_int(n, v) for v in (a, b, c, d)))
+        image = (a * zs + b) / (c * zs + d)
+        rows = [[_rational_entry(rng, n) for _ in range(3)] for _ in range(3)]
+        for row in rows:
+            for f in row:
+                got = f.compose_moebius(mob)
+                assert RatFun(got.num, got.den) == got
+                ref = field.to_sympy(_to_sympy(f, field, zs)).subs(zs, image)
+                assert _to_sympy(got, field, zs) == field.from_sympy(sp.cancel(ref))
+        assert RatMat(rows).compose_moebius(mob) == RatMat(
+            [[f.compose_moebius(mob) for f in row] for row in rows]
+        )
+
+
+def test_compose_rejects_zero_determinant():
+    # The canonical form of the result rests on a d - b c != 0.
+    with pytest.raises(MalformedInput):
+        z().compose_moebius(Mob(cyc(1), cyc(2), cyc(2), cyc(4)))
+    with pytest.raises(MalformedInput):
+        RatMat([[z()]]).compose_moebius(Mob(cyc(0), cyc(1), cyc(0), cyc(3)))
+
+
+def test_compose_runs_no_gcd(monkeypatch):
+    # The substituted numerator and denominator are coprime by construction,
+    # so composing never reduces by a polynomial gcd.
+    group = catalog("binary_dihedral", 3).group()
+    n = group.n
+    zeta, one = CycNum.zeta(n, 2), CycNum.one(n)
+    lin = Poly(n, [one, zeta])  # zeta z + 1
+
+    def over(num: list[CycNum], k: int) -> RatFun:  # num / (zeta z + 1)^k
+        return RatFun(Poly(n, num), lin**k)
+
+    m = RatMat(
+        [
+            [over([one], 1), RatFun.from_laurent(n, -2, [zeta, one, one]), RatFun.one(n)],
+            [over([zeta, one], 2), RatFun.monomial(zeta, -1), RatFun.zero(n)],
+            [RatFun.from_laurent(n, -1, [one, zeta]), over([one, one, zeta], 3), over([zeta], 2)],
+        ]
+    )
+    # A diagonal and an anti-diagonal element, both with cyclotomic entries.
+    diag = next(g for g in group.elements if g.c.is_zero() and not g.a.is_rational())
+    anti = next(g for g in group.elements if not g.c.is_zero() and not g.c.is_rational())
+    calls = []
+    gcd = ratfun.poly_gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(ratfun, "poly_gcd", counting_gcd)
+    for g in (diag, anti):
+        m.compose_moebius(MoebiusMap(g))
+    assert calls == []
