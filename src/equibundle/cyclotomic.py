@@ -79,9 +79,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Per-modulus tables: reduction of high powers and zeta powers."""
+    """Per-modulus tables: reduction of high powers, zeta powers, Galois group."""
 
-    __slots__ = ("n", "phi", "minpoly", "reduction", "zeta_pows")
+    __slots__ = ("n", "phi", "minpoly", "reduction", "zeta_pows", "units")
 
     def __init__(self, n: int):
         self.n = n
@@ -111,6 +111,8 @@ class _Context:
                 for i in range(phi):
                     vec[i] -= top * self.minpoly[i]
         self.zeta_pows = tuple(pows)
+        # units = the k prime to n, one automorphism zeta -> zeta^k each
+        self.units = tuple(k for k in range(1, n) if gcd(k, n) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -275,65 +277,26 @@ class CycNum:
         return CycNum(self.n, out, self.den * other.den)
 
     def inv(self) -> CycNum:
-        """Multiplicative inverse via extended Euclid modulo the minimal polynomial."""
+        """Multiplicative inverse by the Galois norm.
+
+        x^(-1) = prod_{sigma != 1} sigma(x) / N(x), over the automorphisms
+        sigma_k: zeta -> zeta^k, k prime to N, where the norm
+        N(x) = x * prod_{sigma != 1} sigma(x) is rational.  The product is
+        taken over the integral numerator y = den * x, so every step stays
+        in Z[zeta] and N(y) is an integer.
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
             q = self.as_fraction()
             return CycNum.from_fraction(self.n, 1 / q)
-        ctx = _context(self.n)
-        # Extended gcd over Q[x] of the minimal polynomial and self; Bezout
-        # coefficient of self gives the inverse modulo the minimal polynomial.
-
-        def deg(p: list[Fraction]) -> int:
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        def sub_scaled(p: list[Fraction], q: list[Fraction], c: Fraction, shift: int) -> list[Fraction]:
-            out = list(p)
-            need = len(q) + shift
-            if len(out) < need:
-                out += [Fraction(0)] * (need - len(out))
-            for i, qc in enumerate(q):
-                if qc:
-                    out[i + shift] -= c * qc
-            return out
-
-        r0 = [Fraction(c) for c in ctx.minpoly]
-        r1 = [Fraction(c, self.den) for c in self.num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            d1 = deg(r1)
-            if d1 < 0:
-                raise DivisionByZero("element not invertible")
-            if d1 == 0:
-                break
-            # r0 = q*r1 + r; replace (r0, s0) <- (r1, s1), (r1, s1) <- (r, s0 - q*s1)
-            q_shifts: list[tuple[Fraction, int]] = []
-            r = list(r0)
-            lead1 = r1[d1]
-            dr = deg(r)
-            while dr >= d1:
-                c = r[dr] / lead1
-                q_shifts.append((c, dr - d1))
-                r = sub_scaled(r, r1, c, dr - d1)
-                dr = deg(r)
-            s = list(s0)
-            for c, shift in q_shifts:
-                s = sub_scaled(s, s1, c, shift)
-            r0, s0 = r1, s1
-            r1, s1 = r, s
-        c = r1[0]
-        inv_coeffs = [x / c for x in s1]
-        inv_coeffs += [Fraction(0)] * (ctx.phi - len(inv_coeffs))
-        inv_coeffs = inv_coeffs[: ctx.phi]
-        den = 1
-        for f in inv_coeffs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        num = [int(f * den) for f in inv_coeffs]
-        return CycNum(self.n, num, den)
+        y = CycNum(self.n, self.num, 1, _normalized=True)
+        conjugates = None
+        for k in _context(self.n).units[1:]:
+            image = y._galois(k)
+            conjugates = image if conjugates is None else conjugates * image
+        norm = (y * conjugates).num[0]
+        return CycNum(self.n, [self.den * c for c in conjugates.num], norm)
 
     def __truediv__(self, other: CycNum) -> CycNum:
         return self * other.inv()
@@ -350,17 +313,21 @@ class CycNum:
             k >>= 1
         return result
 
-    def conj(self) -> CycNum:
-        """Complex conjugation zeta -> zeta^(-1)."""
+    def _galois(self, k: int) -> CycNum:
+        """The image under the automorphism zeta -> zeta^k, k prime to N."""
         ctx = _context(self.n)
         phi = ctx.phi
         out = [0] * phi
         for i, c in enumerate(self.num):
             if c:
-                row = ctx.zeta_pows[(-i) % self.n]
+                row = ctx.zeta_pows[(i * k) % self.n]
                 for j in range(phi):
                     out[j] += c * row[j]
         return CycNum(self.n, out, self.den)
+
+    def conj(self) -> CycNum:
+        """Complex conjugation zeta -> zeta^(-1)."""
+        return self._galois(-1)
 
     def embed(self) -> complex:
         """Floating-point image under zeta -> exp(2*pi*i/N).  Diagnostics only."""

@@ -146,29 +146,54 @@ def _has_pole_off(m: RatMat, lin: Poly) -> bool:
 
 
 def _chart_regularity_issues(
-    elem: SL2Elem, a_mat: RatMat, base: TransitionCocycle, t_inv: RatMat, label
+    elem: SL2Elem,
+    a_mat: RatMat,
+    base: TransitionCocycle,
+    t_inv: RatMat,
+    label,
+    a_inv: Optional[RatMat] = None,
 ) -> list[dict]:
+    """Poles of the action and of its inverse on both charts.
+
+    a_inv, when given, is the certified inverse a_{g^-1}(g z) of a_mat: the
+    cocycle pair (g^-1, g) has passed, so a_{g^-1}(g z) a_g(z) = I exactly,
+    and a left inverse of a square matrix is its inverse.  The chart-1
+    inverse T(z)^(-1) a(z)^(-1) T(g z) is then a product of known matrices,
+    and substituting w = 1/z commutes with products and inverses.  Without
+    a_inv (the pair failed, so the bundle is invalid anyway) both inverses
+    come from Gauss-Jordan, and a singular matrix is reported.
+    """
     issues: list[dict] = []
     mu = mu_poly(elem)
-    try:
-        a_inv = a_mat.inv()
-    except SingularMatrix:
-        return [{"kind": "singular_action", "element": label}]
+    mob = MoebiusMap(elem)
+    certified = a_inv is not None
+    if not certified:
+        try:
+            a_inv = a_mat.inv()
+        except SingularMatrix:
+            return [{"kind": "singular_action", "element": label}]
     for name, m in (("action", a_mat), ("action_inverse", a_inv)):
         if _has_pole_off(m, mu):
             issues.append({"kind": f"chart0_pole_{name}", "element": label})
     # chart-1 matrix: T(g z)^(-1) a(z) T(z), written in w = 1/z
-    chart1 = t_inv.compose_moebius(MoebiusMap(elem)) * a_mat * base.transition
-    chart1_w = RatMat([[invert_variable(e) for e in row] for row in chart1.entries])
-    try:
-        chart1_w_inv = chart1_w.inv()
-    except SingularMatrix:
-        return issues + [{"kind": "singular_chart1", "element": label}]
+    chart1_w = _in_w(t_inv.compose_moebius(mob) * a_mat * base.transition)
+    if certified:
+        chart1_w_inv = _in_w(t_inv * a_inv * base.transition.compose_moebius(mob))
+    else:
+        try:
+            chart1_w_inv = chart1_w.inv()
+        except SingularMatrix:
+            return issues + [{"kind": "singular_chart1", "element": label}]
     lin = Poly(base.n, [elem.a, elem.b])  # a + b w vanishes where the image leaves chart 1
     for name, m in (("chart1", chart1_w), ("chart1_inverse", chart1_w_inv)):
         if _has_pole_off(m, lin):
             issues.append({"kind": f"pole_{name}", "element": label})
     return issues
+
+
+def _in_w(m: RatMat) -> RatMat:
+    """m written in the chart-1 coordinate w = 1/z, entry by entry."""
+    return RatMat([[invert_variable(e) for e in row] for row in m.entries])
 
 
 def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> ValidationReport:
@@ -177,7 +202,10 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
     level "all" checks the cocycle law on every pair of group elements and
     chart regularity on every element; level "relations" checks (element,
     generator) pairs and generator regularity, which is equivalent by
-    induction along generator words but much cheaper.
+    induction along generator words but much cheaper.  Both levels check the
+    pair (g^-1, g) of every element g whose regularity they test, and a
+    passing pair hands its a_{g^-1}(g z) to the regularity check as the
+    inverse of a_g.
     """
     if level not in ("all", "relations"):
         raise MalformedInput("level must be 'all' or 'relations'")
@@ -200,12 +228,17 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
         pair_iter = (
             (i, gi) for i in range(group.order) for gi in group.generator_indices
         )
+    certified_inv: dict[int, RatMat] = {}
     for i, j in pair_iter:
         checked["cocycle_pairs"] += 1
-        lhs = table[group.mul(i, j)]
-        rhs = table[i].compose_moebius(mobs[j]) * table[j]
+        ij = group.mul(i, j)
+        lhs = table[ij]
+        moved = table[i].compose_moebius(mobs[j])
+        rhs = moved * table[j]
         if lhs != rhs:
             violations.append({"kind": "cocycle_law", "pair": (i, j)})
+        elif ij == 0 and lhs.is_identity():
+            certified_inv[j] = moved
     if level == "all":
         reg_elems = list(range(group.order))
     else:
@@ -214,7 +247,9 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
     for i in reg_elems:
         checked["regularity_elements"] += 1
         violations.extend(
-            _chart_regularity_issues(group.elements[i], table[i], bundle.base, t_inv, i)
+            _chart_regularity_issues(
+                group.elements[i], table[i], bundle.base, t_inv, i, certified_inv.get(i)
+            )
         )
     return ValidationReport(checked, violations)
 

@@ -167,8 +167,11 @@ def group_to_json(group) -> dict:
 
 def group_from_json(data: Any, cap: int = DEFAULT_CLOSURE_CAP):
     _expect(isinstance(data, dict) and "generators" in data, "bad group file")
+    _expect(isinstance(data["generators"], list), "generators must be a list")
+    pgl = data.get("pgl", False)
+    _expect(isinstance(pgl, bool), f"pgl must be true or false, got {pgl!r}")
     gens = [_elem_from_json(g) for g in data["generators"]]
-    if data.get("pgl"):
+    if pgl:
         return pgl_group(gens, cap=cap)
     return generate_group(gens, cap=cap)
 

@@ -162,6 +162,13 @@ def test_malformed_input_exit_code(tmp_path, capsys):
         code, report = run_cli(capsys, "split", "--input", str(path))
         assert code == 2
         assert report["error"] == "malformed_input"
+    # Group files: generators must be a list and pgl a JSON boolean.
+    group = serialize.group_to_json(catalog("cyclic", 4).group())
+    for data in (dict(group, generators=5), dict(group, pgl="yes")):
+        path.write_text(serialize.dumps(data))
+        code, report = run_cli(capsys, "ext-split", "--input", str(path))
+        assert code == 2
+        assert report["error"] == "malformed_input"
 
 
 def test_verify_determinism_byte_identical(tmp_path, capsys):

@@ -64,6 +64,27 @@ def test_inverse_exactness_random():
         assert a * a.inv() == CycNum.one(n)
 
 
+def test_inverse_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    rng = random.Random(11)
+    for n in (3, 5, 8, 12, 20):
+        phi = euler_phi(n)
+        minpoly = sp.cyclotomic_poly(n, x)
+        cases = [CycNum.from_fraction(n, Fraction(-7, 3)), CycNum.from_int(n, 5)]
+        while len(cases) < 8:
+            a = CycNum(n, [rng.randint(-40, 40) for _ in range(phi)], rng.randint(2, 40))
+            if not a.is_rational():
+                cases.append(a)
+        for a in cases:
+            f = sum(sp.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(a.coeffs()))
+            ref = sp.Poly(sp.invert(f, minpoly, x), x, domain=sp.QQ).all_coeffs()[::-1]
+            ref += [0] * (phi - len(ref))
+            got = a.inv()
+            assert [sp.Rational(c.numerator, c.denominator) for c in got.coeffs()] == ref, (n, a)
+            assert a * got == CycNum.one(n)
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
         CycNum.zero(5).inv()

@@ -95,6 +95,101 @@ def test_contradictory_action_of_generator_listed_twice_detected():
         classify(bad)
 
 
+def _cocycle_law(*pairs):
+    return [{"kind": "cocycle_law", "pair": p} for p in pairs]
+
+
+def _poles(*elements):
+    kinds = ("chart0_pole_action", "chart0_pole_action_inverse", "pole_chart1", "pole_chart1_inverse")
+    return [{"kind": k, "element": i} for i in elements for k in kinds]
+
+
+def _singular(*elements):
+    return [{"kind": "singular_action", "element": i} for i in elements]
+
+
+def _invalid_bundles():
+    g = catalog("binary_dihedral", 2).group()
+    e = build_from_canonical(CanonicalForm([CanonicalEntry(1, standard_representation(g))]), g)
+    n = g.n
+    one, zero = RatFun.one(n), RatFun.zero(n)
+    # Generator 0 scaled by 2: its (g^-1, g) pair fails.
+    bad_pair = [e.gen_action[0].scale(RatFun.const(CycNum.from_int(n, 2))), e.gen_action[1]]
+    # Chart 0 conjugated by diag(z - 2, 1) and the transition kept: the
+    # cocycle law still holds, but the action and chart 1 gain poles.
+    z_minus_2 = RatFun.from_poly(Poly(n, [CycNum.from_int(n, -2), CycNum.one(n)]))
+    p = RatMat([[z_minus_2, zero], [zero, one]])
+    p_inv = p.inv()
+    pole = [p.compose_moebius(e.generator_moebius(t)) * a * p_inv for t, a in enumerate(e.gen_action)]
+    singular = [RatMat([[one, zero], [zero, zero]]), e.gen_action[1]]
+    return {
+        name: EquivariantBundle(e.base, g, action)
+        for name, action in (("bad_pair", bad_pair), ("pole", pole), ("singular", singular))
+    }
+
+
+INVALID_REPORTS = {
+    ("bad_pair", "all"): (
+        (64, 8),
+        _cocycle_law(
+            (2, 2), (2, 4), (2, 5), (2, 6), (4, 2), (4, 4), (4, 5), (4, 6),
+            (5, 2), (5, 4), (5, 5), (5, 6), (6, 2), (6, 4), (6, 5), (6, 6),
+        ),
+    ),
+    ("bad_pair", "relations"): ((16, 2), _cocycle_law((2, 2), (4, 2), (5, 2), (6, 2))),
+    ("pole", "all"): ((64, 8), _poles(1, 2, 4, 5, 6, 7)),
+    ("pole", "relations"): ((16, 2), _poles(2, 1)),
+    ("singular", "all"): (
+        (64, 8),
+        _cocycle_law(
+            (1, 5), (1, 6), (2, 2), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5),
+            (4, 1), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6), (4, 7), (5, 2), (5, 3),
+            (5, 4), (5, 5), (5, 6), (6, 1), (6, 2), (6, 4), (6, 5), (6, 6), (7, 2), (7, 5),
+        )
+        + _singular(2, 4, 5, 6),
+    ),
+    ("singular", "relations"): (
+        (16, 2),
+        _cocycle_law((2, 2), (4, 2), (4, 1), (5, 2), (6, 2), (6, 1), (7, 2)) + _singular(2),
+    ),
+}
+
+
+def test_invalid_bundles_keep_their_violations():
+    # Reports pinned from the Gauss-Jordan regularity check.  The pole bundle
+    # passes every pair and so runs on certified inverses; the elements whose
+    # (g^-1, g) pair fails take the fallback.
+    bundles = _invalid_bundles()
+    for (name, level), ((pairs, elements), violations) in INVALID_REPORTS.items():
+        report = validate_equivariance(bundles[name], level=level)
+        assert report.as_dict() == {
+            "ok": False,
+            "checked": {"cocycle_pairs": pairs, "regularity_elements": elements},
+            "violations": violations,
+        }, (name, level)
+
+
+def test_valid_bundle_validation_inverts_only_the_transition(monkeypatch):
+    g = catalog("binary_dihedral", 2).group()
+    cf = CanonicalForm(
+        [CanonicalEntry(1, standard_representation(g)), CanonicalEntry(0, trivial_representation(g))]
+    )
+    bundle = random_retrivialization(random.Random(3), build_from_canonical(cf, g))
+    assert bundle.rank == 3
+    calls = []
+    original = RatMat.inv
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RatMat, "inv", counting)
+    for level in ("all", "relations"):
+        calls.clear()
+        assert validate_equivariance(bundle, level=level).ok
+        assert calls == [bundle.base.transition], level
+
+
 def test_sign_rescaling_is_a_character_twist():
     # Scaling the C4 generator action by -1 is the twist by the order-2
     # character, hence still a valid structure with a different module.
