@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import nullspace
-from .ratfun import Poly, RatFun, RatMat, laurent_is_unit, poly_xgcd
+from .ratfun import Poly, RatFun, RatMat, invert_variable, laurent_is_unit, poly_xgcd
 
 __all__ = [
     "TransitionCocycle",
@@ -433,11 +433,7 @@ def _poly_matrix_to_ratmat(rows: list[list[Poly]]) -> RatMat:
 
 def _w_poly_to_ratfun(p: Poly) -> RatFun:
     """Interpret a polynomial in w as a Laurent polynomial in z."""
-    n = p.n
-    if p.is_zero():
-        return RatFun.zero(n)
-    coeffs = list(reversed(p.coeffs))
-    return RatFun.from_laurent(n, -p.degree(), coeffs)
+    return invert_variable(RatFun.from_poly(p))
 
 
 def _w_matrix_to_ratmat(rows: list[list[Poly]]) -> RatMat:
@@ -453,10 +449,7 @@ def _ratfun_to_w_poly(f: RatFun) -> Poly:
     hi = v + p.degree()
     if hi > 0:
         raise MalformedInput("positive exponents cannot convert to the w chart")
-    coeffs = [CycNum.zero(n)] * (-v + 1)
-    for i, c in enumerate(p.coeffs):
-        coeffs[-(v + i)] = c
-    return Poly(n, coeffs)
+    return p.reversed().shift(-hi)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,8 @@ class _Context:
         self.phi = euler_phi(n)
         self.minpoly = cyclotomic_polynomial(n)
         phi = self.phi
-        # reduction[e] = integer vector of x^(phi+e) mod Phi_N, e = 0..phi-2
+        # reduction[e] = the nonzero (index, coefficient) pairs of x^(phi+e) mod
+        # Phi_N, e = 0..phi-2
         rows: list[tuple[int, ...]] = []
         cur = [-c for c in self.minpoly[:phi]]  # x^phi
         rows.append(tuple(cur))
@@ -99,7 +100,7 @@ class _Context:
                 for i in range(phi):
                     cur[i] -= top * self.minpoly[i]
             rows.append(tuple(cur))
-        self.reduction = tuple(rows)
+        self.reduction = tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows)
         # zeta_pows[k] = vector of zeta^k for k = 0..n-1
         pows: list[tuple[int, ...]] = []
         vec = [1] + [0] * (phi - 1)
@@ -118,6 +119,48 @@ class _Context:
 @lru_cache(maxsize=None)
 def _context(n: int) -> _Context:
     return _Context(n)
+
+
+def _fold(ctx: _Context, wide: list[int]) -> list[int]:
+    """Reduce a vector of the powers 0..2 phi - 2 of zeta mod Phi_N."""
+    phi = ctx.phi
+    out = wide[:phi]
+    for c, terms in zip(wide[phi:], ctx.reduction):
+        if c:
+            for j, r in terms:
+                out[j] += c * r
+    return out
+
+
+def _vec_mul(ctx: _Context, a, b) -> list[int]:
+    """Product of two power-basis integer vectors, reduced mod Phi_N.
+
+    A rational operand (zero tail) is an integer scaling and needs no
+    reduction.
+    """
+    if not any(b[1:]):
+        s = b[0]
+        return [x * s for x in a]
+    if not any(a[1:]):
+        s = a[0]
+        return [s * y for y in b]
+    conv = [0] * (2 * ctx.phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    return _fold(ctx, conv)
+
+
+def _galois_vec(ctx: _Context, num, k: int) -> list[int]:
+    """The power-basis vector num under zeta -> zeta^k, k prime to N."""
+    out = [0] * ctx.phi
+    for i, c in enumerate(num):
+        if c:
+            for j, r in enumerate(ctx.zeta_pows[(i * k) % ctx.n]):
+                out[j] += c * r
+    return out
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -257,23 +300,7 @@ class CycNum:
 
     def __mul__(self, other: CycNum) -> CycNum:
         self._check(other)
-        ctx = _context(self.n)
-        phi = ctx.phi
-        a, b = self.num, other.num
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:phi]
-        red = ctx.reduction
-        for e in range(phi, 2 * phi - 1):
-            c = conv[e]
-            if c:
-                row = red[e - phi]
-                for j in range(phi):
-                    out[j] += c * row[j]
+        out = _vec_mul(_context(self.n), self.num, other.num)
         return CycNum(self.n, out, self.den * other.den)
 
     def inv(self) -> CycNum:
@@ -290,13 +317,14 @@ class CycNum:
         if self.is_rational():
             q = self.as_fraction()
             return CycNum.from_fraction(self.n, 1 / q)
-        y = CycNum(self.n, self.num, 1, _normalized=True)
+        ctx = _context(self.n)
+        y = self.num
         conjugates = None
-        for k in _context(self.n).units[1:]:
-            image = y._galois(k)
-            conjugates = image if conjugates is None else conjugates * image
-        norm = (y * conjugates).num[0]
-        return CycNum(self.n, [self.den * c for c in conjugates.num], norm)
+        for k in ctx.units[1:]:
+            image = _galois_vec(ctx, y, k)
+            conjugates = image if conjugates is None else _vec_mul(ctx, conjugates, image)
+        norm = _vec_mul(ctx, y, conjugates)[0]
+        return CycNum(self.n, [self.den * c for c in conjugates], norm)
 
     def __truediv__(self, other: CycNum) -> CycNum:
         return self * other.inv()
@@ -313,21 +341,9 @@ class CycNum:
             k >>= 1
         return result
 
-    def _galois(self, k: int) -> CycNum:
-        """The image under the automorphism zeta -> zeta^k, k prime to N."""
-        ctx = _context(self.n)
-        phi = ctx.phi
-        out = [0] * phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = ctx.zeta_pows[(i * k) % self.n]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycNum(self.n, out, self.den)
-
     def conj(self) -> CycNum:
         """Complex conjugation zeta -> zeta^(-1)."""
-        return self._galois(-1)
+        return CycNum(self.n, _galois_vec(_context(self.n), self.num, -1), self.den)
 
     def embed(self) -> complex:
         """Floating-point image under zeta -> exp(2*pi*i/N).  Diagnostics only."""

@@ -25,7 +25,7 @@ from .extensions import PGLGroup
 from .linalg import Matrix, mat_inv
 from .matgroup import FiniteMatrixGroup, Representation
 from .moebius import sym_power_matrix
-from .ratfun import Poly, RatFun, RatMat
+from .ratfun import Poly, RatFun, RatMat, invert_variable
 
 __all__ = [
     "random_unimodular_z",
@@ -73,10 +73,9 @@ def _random_unimodular(
             if size > 1 and rng.random() >= 0.25:
                 i, j = rng.sample(range(size), 2)
                 p = _rand_poly(rng, n, min(2, entry_cap))
-                if in_w and not p.is_zero():
-                    entry = RatFun.from_laurent(n, -p.degree(), list(reversed(p.coeffs)))
-                else:
-                    entry = RatFun.from_poly(p)
+                entry = RatFun.from_poly(p)
+                if in_w:
+                    entry = invert_variable(entry)
                 e = RatMat.identity(n, size).with_entry(i, j, entry)
             else:
                 i = rng.randrange(size)

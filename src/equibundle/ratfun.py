@@ -5,6 +5,16 @@ is a power of z, so a single type serves both affine charts.  Every value is
 canonical: denominators are monic and coprime to numerators, which makes
 equality a coefficient comparison.  All types are immutable.
 
+A Poly stores its coefficients as integer rows over one denominator: rows
+holds one tuple of phi(N) numerators per coefficient (power basis of
+Q(zeta_N), as in CycNum), lowest degree first, and den is one positive
+integer.  The form is canonical: the last row is nonzero (the zero
+polynomial has no rows and den 1) and gcd(den, every numerator) = 1, so each
+value has exactly one form and equality and hashing are tuple operations.
+Arithmetic works on the integers and normalises once per result, not once
+per coefficient; CycNum coefficients are built only on request (coeffs,
+lead, coeff).
+
 Moebius substitution z -> (a z + b)/(c z + d) keeps a canonical value
 canonical without a gcd, provided a d - b c != 0 (so the map is a bijection
 of P^1).  For f = P/Q with P, Q coprime and k = max(deg P, deg Q), f composed
@@ -25,9 +35,11 @@ result canonical.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _context, _fold, _vec_mul
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -60,87 +72,134 @@ __all__ = [
 
 
 class Poly:
-    """Dense univariate polynomial over Q(zeta_N), lowest degree first."""
+    """Dense univariate polynomial over Q(zeta_N), lowest degree first.
 
-    __slots__ = ("n", "coeffs")
+    rows holds one tuple of phi(N) integer numerators per coefficient, over
+    the one positive denominator den (see the module docstring).
+    """
+
+    __slots__ = ("n", "rows", "den")
 
     def __init__(self, n: int, coeffs: Iterable[CycNum] = ()):
+        """The polynomial with the given coefficients, over the lcm of their denominators."""
         coeffs = list(coeffs)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
+        den = 1
         for c in coeffs:
             if c.n != n:
                 raise ModulusMismatch(f"coefficient modulus {c.n} != {n}")
+            den = lcm(den, c.den)
         self.n = n
-        self.coeffs = tuple(coeffs)
+        self.rows = tuple(
+            c.num if c.den == den else tuple(x * (den // c.den) for x in c.num) for c in coeffs
+        )
+        self.den = den
+
+    @staticmethod
+    def _raw(n: int, rows: tuple, den: int) -> Poly:
+        """A polynomial from rows that are already canonical."""
+        p = object.__new__(Poly)
+        p.n, p.rows, p.den = n, rows, den
+        return p
+
+    @staticmethod
+    def _normal(n: int, rows: list, den: int) -> Poly:
+        """The canonical form of rows / den, den > 0: trim, then one gcd pass."""
+        while rows and not any(rows[-1]):
+            rows.pop()
+        if not rows:
+            return Poly._raw(n, (), 1)
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g > 1:
+                den //= g
+                rows = [[x // g for x in r] for r in rows]
+        return Poly._raw(n, tuple(map(tuple, rows)), den)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(n: int) -> Poly:
-        return Poly(n)
+        return Poly._raw(n, (), 1)
 
     @staticmethod
     def one(n: int) -> Poly:
-        return Poly(n, [CycNum.one(n)])
+        return Poly._raw(n, (_context(n).zeta_pows[0],), 1)
 
     @staticmethod
     def const(c: CycNum) -> Poly:
-        return Poly(c.n, [c])
+        return Poly.monomial(c, 0)
 
     @staticmethod
     def x(n: int) -> Poly:
-        return Poly(n, [CycNum.zero(n), CycNum.one(n)])
+        return Poly.one(n).shift(1)
 
     @staticmethod
     def monomial(c: CycNum, k: int) -> Poly:
         if k < 0:
             raise MalformedInput("monomial exponent must be nonnegative")
-        return Poly(c.n, [CycNum.zero(c.n)] * k + [c])
+        if c.is_zero():
+            return Poly.zero(c.n)
+        return Poly._raw(c.n, ((0,) * len(c.num),) * k + (c.num,), c.den)
 
     @staticmethod
     def from_ints(n: int, ints: Iterable[int]) -> Poly:
-        return Poly(n, [CycNum.from_int(n, v) for v in ints])
+        tail = (0,) * (_context(n).phi - 1)
+        return Poly._normal(n, [(v,) + tail for v in ints], 1)
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[CycNum, ...]:
+        """The coefficients as scalars, lowest degree first (built on each call)."""
+        return tuple(CycNum(self.n, r, self.den) for r in self.rows)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.rows) <= 1
+
+    def is_one(self) -> bool:
+        rows = self.rows
+        return self.den == 1 and len(rows) == 1 and rows[0][0] == 1 and not any(rows[0][1:])
+
+    def is_monic(self) -> bool:
+        rows = self.rows
+        return bool(rows) and rows[-1][0] == self.den and not any(rows[-1][1:])
 
     def is_monomial(self) -> bool:
-        return bool(self.coeffs) and all(c.is_zero() for c in self.coeffs[:-1])
+        return bool(self.rows) and not any(map(any, self.rows[:-1]))
 
     def valuation(self) -> int:
         """Order of vanishing at 0; the zero polynomial has valuation -1."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for i, r in enumerate(self.rows):
+            if any(r):
                 return i
         return -1
 
     def lead(self) -> CycNum:
-        if not self.coeffs:
+        if not self.rows:
             raise DivisionByZero("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+        return CycNum(self.n, self.rows[-1], self.den)
 
     def coeff(self, k: int) -> CycNum:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.rows):
+            return CycNum(self.n, self.rows[k], self.den)
         return CycNum.zero(self.n)
 
     def monic(self) -> Poly:
-        if self.is_zero():
+        if self.is_zero() or self.is_monic():
             return self
-        lead = self.coeffs[-1]
-        if lead.is_one():
-            return self
-        inv = lead.inv()
-        return Poly(self.n, [c * inv for c in self.coeffs])
+        return self.scale(self.lead().inv())
+
+    def drop_low(self, k: int) -> Poly:
+        """Divide by z^k; the k lowest coefficients must be zero."""
+        return Poly._raw(self.n, self.rows[k:], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -150,47 +209,77 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        if not other.rows:
+            return self
+        if not self.rows:
+            return other
+        a, b, da, db = self.rows, other.rows, self.den, other.den
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.n, out)
+            a, b, da, db = b, a, db, da
+        if da == db:
+            rows = [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+            rows.extend(a[len(b):])
+            return Poly._normal(self.n, rows, da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        rows = [[x * fa + y * fb for x, y in zip(r, s)] for r, s in zip(a, b)]
+        rows.extend([x * fa for x in r] for r in a[len(b):])
+        return Poly._normal(self.n, rows, da * fa)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly(self.n, [-c for c in self.coeffs])
+        return Poly._raw(self.n, tuple(tuple(-x for x in r) for r in self.rows), self.den)
 
     def __mul__(self, other: Poly) -> Poly:
+        """Bivariate integer convolution in z and zeta, one reduction per coefficient.
+
+        A one-coefficient operand scales the rows of the other instead.
+        """
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.rows, other.rows
         if not a or not b:
             return Poly.zero(self.n)
         if len(a) == 1:
-            return Poly(self.n, [a[0] * c for c in b])
+            return other._scaled(a[0], self.den)
         if len(b) == 1:
-            return Poly(self.n, [c * b[0] for c in a])
-        zero = CycNum.zero(self.n)
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return Poly(self.n, out)
+            return self._scaled(b[0], other.den)
+        ctx = _context(self.n)
+        acc = [[0] * (2 * ctx.phi - 1) for _ in range(len(a) + len(b) - 1)]
+        b_terms = [[(l, y) for l, y in enumerate(r) if y] for r in b]
+        for i, r in enumerate(a):
+            window = acc[i:]
+            for k, x in enumerate(r):
+                if x:
+                    for out, terms in zip(window, b_terms):
+                        for l, y in terms:
+                            out[k + l] += x * y
+        return Poly._normal(self.n, [_fold(ctx, w) for w in acc], self.den * other.den)
+
+    def _scaled(self, vec, den: int) -> Poly:
+        """self * (vec / den) for one power-basis vector vec.
+
+        A rational vec (zero tail) is an integer scaling and needs no reduction.
+        """
+        if not any(vec[1:]):
+            s = vec[0]
+            if s == 1 and den == 1:
+                return self
+            rows = [list(map(s.__mul__, r)) for r in self.rows]
+        else:
+            ctx = _context(self.n)
+            rows = [_vec_mul(ctx, r, vec) for r in self.rows]
+        return Poly._normal(self.n, rows, self.den * den)
 
     def scale(self, c: CycNum) -> Poly:
-        return Poly(self.n, [x * c for x in self.coeffs])
+        return self._scaled(c.num, c.den)
 
     def shift(self, k: int) -> Poly:
         """Multiply by z^k (k >= 0)."""
         if self.is_zero() or k == 0:
             return self
-        return Poly(self.n, [CycNum.zero(self.n)] * k + list(self.coeffs))
+        return Poly._raw(self.n, ((0,) * len(self.rows[0]),) * k + self.rows, self.den)
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:
@@ -205,25 +294,50 @@ class Poly:
         return result
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
+        """Quotient and remainder by division by the monic associate of other.
+
+        Each quotient coefficient is then the top remainder row; the
+        remainder keeps one running denominator, reduced by a gcd after each
+        step, and the quotient is scaled by the inverse leading coefficient
+        of other at the end.
+        """
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        if self.degree() < other.degree():
-            return Poly.zero(self.n), self
-        lead_inv = other.coeffs[-1].inv()
-        rem = list(self.coeffs)
-        db = other.degree()
-        zero = CycNum.zero(self.n)
-        quot = [zero] * (len(rem) - db)
+        n, db = self.n, other.degree()
+        if self.degree() < db:
+            return Poly.zero(n), self
+        lead_inv = None if other.is_monic() else other.lead().inv()
+        monic = other if lead_inv is None else other.scale(lead_inv)
+        ctx = _context(n)
+        low, bden = monic.rows[:db], monic.den  # the top row of monic is (bden, 0, ..., 0)
+        rem, rden = [list(r) for r in self.rows], self.den
+        quot: list = [None] * (len(rem) - db)
         for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db]
-            if c.is_zero():
+            top = rem.pop()
+            if not any(top):
                 continue
-            q = c * lead_inv
-            quot[i] = q
-            for j, d in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - q * d
-        return Poly(self.n, quot), Poly(self.n, rem[:db])
+            quot[i] = (top, rden)
+            # rem <- rem - (top / rden) z^i monic, over rden * bden.
+            if bden != 1:
+                rem = [[x * bden for x in r] for r in rem]
+                rden *= bden
+            for row, b in zip(rem[i:], low):
+                for t, v in enumerate(_vec_mul(ctx, top, b)):
+                    row[t] -= v
+            if rden != 1:
+                g = gcd(rden, *chain.from_iterable(rem))
+                if g > 1:
+                    rem = [[x // g for x in r] for r in rem]
+                    rden //= g
+        qden = lcm(*(t[1] for t in quot if t is not None))
+        zero = (0,) * ctx.phi
+        q = Poly._normal(
+            n, [zero if t is None else [x * (qden // t[1]) for x in t[0]] for t in quot], qden
+        )
+        if lead_inv is not None:
+            q = q.scale(lead_inv)
+        return q, Poly._normal(n, rem, rden)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return self.divmod(other)[0]
@@ -248,21 +362,20 @@ class Poly:
         d = self.degree() if degree is None else degree
         if d < self.degree():
             raise MalformedInput("reversal degree below polynomial degree")
-        zero = CycNum.zero(self.n)
-        out = [zero] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return Poly(self.n, out)
+        if self.is_zero():
+            return self
+        pad = ((0,) * len(self.rows[0]),) * (d - self.degree())
+        return Poly._raw(self.n, pad + self.rows[self.valuation():][::-1], self.den)
 
     # -- comparisons --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.den == other.den and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.rows, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -331,31 +444,28 @@ class RatFun:
         if num.is_zero():
             return num, Poly.one(n)
         if den.is_const():
-            c = den.coeffs[0]
-            if c.is_one():
+            if den.is_one():
                 return num, den
-            return num.scale(c.inv()), Poly.one(n)
+            return num.scale(den.lead().inv()), Poly.one(n)
         # Shared powers of z are the common case for Laurent data.
         vn, vd = num.valuation(), den.valuation()
         if vn > 0 and vd > 0:
             k = min(vn, vd)
-            num = Poly(n, num.coeffs[k:])
-            den = Poly(n, den.coeffs[k:])
+            num = num.drop_low(k)
+            den = den.drop_low(k)
             if den.is_const():
                 return RatFun._reduce(num, den)
         if den.is_monomial():
-            lead = den.lead()
-            if not lead.is_one():
-                num = num.scale(lead.inv())
-                den = den.monic()
+            if not den.is_monic():
+                num = num.scale(den.lead().inv())
+                den = Poly.one(n).shift(den.degree())
             return num, den
         g = poly_gcd(num, den)
         if g.degree() > 0:
             num = num.divexact(g)
             den = den.divexact(g)
-        lead = den.lead()
-        if not lead.is_one():
-            inv = lead.inv()
+        if not den.is_monic():
+            inv = den.lead().inv()
             num = num.scale(inv)
             den = den.scale(inv)
         return num, den
@@ -399,10 +509,10 @@ class RatFun:
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.rows
 
     def is_one(self) -> bool:
-        return self.den.is_const() and self.num.is_const() and not self.num.is_zero() and self.num.coeffs[0].is_one()
+        return self.num.is_one() and self.den.is_one()
 
     def is_polynomial(self) -> bool:
         return self.den.is_const()
@@ -422,8 +532,7 @@ class RatFun:
         if self.is_zero():
             return 0, Poly.zero(self.n)
         v = self.num.valuation()
-        p = Poly(self.n, self.num.coeffs[v:])
-        return v - self.den.degree(), p
+        return v - self.den.degree(), self.num.drop_low(v)
 
     def laurent_bounds(self) -> tuple[int, int]:
         """(valuation, degree) of a Laurent polynomial; zero gives (0, 0)."""
@@ -450,6 +559,8 @@ class RatFun:
         if other.is_zero():
             return self
         if self.den == other.den:
+            if self.den.is_one():  # two polynomials: the sum is canonical
+                return RatFun(self.num + other.num, self.den, _canonical=True)
             return RatFun(self.num + other.num, self.den)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -463,6 +574,8 @@ class RatFun:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return RatFun.zero(self.n)
+        if self.den.is_one() and other.den.is_one():  # two polynomials: canonical
+            return RatFun(self.num * other.num, self.den, _canonical=True)
         return RatFun(self.num * other.num, self.den * other.den)
 
     def inv(self) -> RatFun:
@@ -528,11 +641,14 @@ class _MoebiusKernel:
     __slots__ = ("n", "lin_num", "lin_den", "rows")
 
     def __init__(self, mob, n: int):
-        if (mob.a * mob.d - mob.b * mob.c).is_zero():
+        ctx = _context(n)
+        a, b, c, d = mob.a, mob.b, mob.c, mob.d
+        ad, bc = _vec_mul(ctx, a.num, d.num), _vec_mul(ctx, b.num, c.num)
+        if [x * b.den * c.den for x in ad] == [y * a.den * d.den for y in bc]:
             raise MalformedInput("Moebius map with zero determinant")
         self.n = n
-        self.lin_num = Poly(n, [mob.b, mob.a])
-        self.lin_den = Poly(n, [mob.d, mob.c])
+        self.lin_num = Poly(n, [b, a])
+        self.lin_den = Poly(n, [d, c])
         self.rows = [[Poly.one(n)]]
 
     def _row(self, k: int) -> list[Poly]:
@@ -543,16 +659,25 @@ class _MoebiusKernel:
         return rows[k]
 
     def _substitute(self, p: Poly, row: list[Poly]) -> Poly:
-        out: list[Optional[CycNum]] = [None] * len(row)
-        for c, r in zip(p.coeffs, row):
-            if c.is_zero():
+        """sum_i p_i row[i], summed over the lcm of the denominators of the row polynomials."""
+        ctx = _context(self.n)
+        den = 1
+        for c, r in zip(p.rows, row):
+            if any(c):
+                den = lcm(den, r.den)
+        acc = [[0] * (2 * ctx.phi - 1) for _ in row]
+        for c, r in zip(p.rows, row):
+            terms = [(k, x) for k, x in enumerate(c) if x]
+            if not terms:
                 continue
-            for j, x in enumerate(r.coeffs):
-                if not x.is_zero():
-                    t = c * x
-                    out[j] = t if out[j] is None else out[j] + t
-        zero = CycNum.zero(self.n)
-        return Poly(self.n, [zero if x is None else x for x in out])
+            f = den // r.den
+            for out, rr in zip(acc, r.rows):
+                for l, y in enumerate(rr):
+                    if y:
+                        y *= f
+                        for k, x in terms:
+                            out[k + l] += x * y
+        return Poly._normal(self.n, [_fold(ctx, w) for w in acc], p.den * den)
 
     def apply(self, f: RatFun) -> RatFun:
         k = max(f.num.degree(), f.den.degree())
@@ -561,9 +686,8 @@ class _MoebiusKernel:
         row = self._row(k)
         num = self._substitute(f.num, row)
         den = self._substitute(f.den, row)
-        lead = den.coeffs[-1]
-        if not lead.is_one():
-            inv = lead.inv()
+        if not den.is_monic():
+            inv = den.lead().inv()
             num, den = num.scale(inv), den.scale(inv)
         return RatFun(num, den, _canonical=True)
 

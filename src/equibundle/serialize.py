@@ -196,10 +196,13 @@ def representation_from_json(data: Any, cap: int = DEFAULT_CLOSURE_CAP, group=No
     dim = _int_field(data, "dim")
     if dim == 0:
         return Representation.zero_module(group)
-    images = [
-        [[cyc_from_json(c) for c in row] for row in img]
-        for img in data["generator_images"]
-    ]
+    images = data["generator_images"]
+    _expect(
+        isinstance(images, list)
+        and all(isinstance(img, list) and all(isinstance(row, list) for row in img) for img in images),
+        "generator_images must be a list of matrices",
+    )
+    images = [[[cyc_from_json(c) for c in row] for row in img] for img in images]
     return Representation.from_generator_images(group, dim, images)
 
 
@@ -221,6 +224,7 @@ def bundle_from_json(data: Any, cap: int = DEFAULT_CLOSURE_CAP) -> EquivariantBu
     base = cocycle_from_json(data["base"])
     group = group_from_json(data["group"], cap=cap)
     action_data = data["action"]
+    _expect(isinstance(action_data, dict), "action must be an object")
     count = len(group.generator_indices)
     action = []
     for t in range(count):
@@ -245,6 +249,7 @@ def canonical_form_to_json(cf: CanonicalForm) -> dict:
 
 def canonical_form_from_json(data: Any, cap: int = DEFAULT_CLOSURE_CAP) -> CanonicalForm:
     _expect(isinstance(data, dict) and "entries" in data, "bad canonical form file")
+    _expect(isinstance(data["entries"], list), "entries must be a list")
     entries = []
     for e in data["entries"]:
         _expect(isinstance(e, dict) and "module" in e, "bad canonical form entry")

@@ -169,6 +169,27 @@ def test_malformed_input_exit_code(tmp_path, capsys):
         code, report = run_cli(capsys, "ext-split", "--input", str(path))
         assert code == 2
         assert report["error"] == "malformed_input"
+    # Bundle files: action must be an object.
+    g = catalog("cyclic", 4).group()
+    cf = random_canonical_form(random.Random(0), g, max_entries=1, max_dim=1)
+    bundle = serialize.bundle_to_json(build_from_canonical(cf, g))
+    for data in (dict(bundle, action=5), dict(bundle, action="0")):
+        path.write_text(serialize.dumps(data))
+        code, report = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 2
+        assert report["error"] == "malformed_input"
+    # Canonical-form files: entries must be a list, generator_images a list of matrices.
+    cf = serialize.canonical_form_to_json(cf)
+    bad_cfs = [dict(cf, entries=5)]
+    for images in (5, [5], [[5]]):
+        bad = json.loads(json.dumps(cf))
+        bad["entries"][0]["module"]["generator_images"] = images
+        bad_cfs.append(bad)
+    for data in bad_cfs:
+        path.write_text(serialize.dumps(data))
+        code, report = run_cli(capsys, "sections", "--input", str(path))
+        assert code == 2
+        assert report["error"] == "malformed_input"
 
 
 def test_verify_determinism_byte_identical(tmp_path, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -360,4 +362,131 @@ def test_compose_runs_no_gcd(monkeypatch):
     monkeypatch.setattr(ratfun, "poly_gcd", counting_gcd)
     for g in (diag, anti):
         m.compose_moebius(MoebiusMap(g))
+    assert calls == []
+
+
+def _rand_poly_over(rng: random.Random, n: int) -> Poly:
+    """Zero, a constant, or a polynomial of valuation up to 2, with coefficients over dens 1-4."""
+    phi = len(CycNum.one(n).num)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Poly.zero(n)
+    length = 1 if kind == 1 else rng.randint(2, 4)
+    coeffs = [
+        CycNum(n, [rng.randint(-3, 3) for _ in range(phi)], rng.randint(1, 4)) for _ in range(length)
+    ]
+    if rng.random() < 0.3:
+        coeffs[0] = CycNum.from_fraction(n, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    low = [CycNum.zero(n)] * (rng.randint(1, 2) if kind == 5 else 0)
+    return Poly(n, low + coeffs)
+
+
+def assert_canonical(p: Poly) -> None:
+    """den > 0, gcd(den, all numerators) = 1, nonzero last row; rebuilt from coeffs, equal."""
+    assert p.den > 0
+    assert gcd(p.den, *(x for r in p.rows for x in r)) == 1
+    assert not p.rows or any(p.rows[-1])
+    assert all(len(r) == len(CycNum.one(p.n).num) for r in p.rows)
+    rebuilt = Poly(p.n, p.coeffs)
+    assert (rebuilt.rows, rebuilt.den) == (p.rows, p.den)
+    assert hash(rebuilt) == hash(p)
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 20])
+def test_poly_ops_match_sympy(n):
+    # Independent oracle for polynomial arithmetic: sympy's polynomial ring over
+    # QQ(exp(2 pi i / n)), whose power basis is that of CycNum.  Each result
+    # must also be canonical: rebuilding it from its coefficients changes nothing.
+    sp = pytest.importorskip("sympy")
+
+    field = sp.QQ.algebraic_field(sp.exp(2 * sp.pi * sp.I / n))
+    ring, zs = sp.ring("z", field)
+
+    def scalar(c: CycNum):
+        return field([sp.QQ(x, c.den) for x in reversed(c.num)])
+
+    def ref(p: Poly):
+        return ring.from_list([scalar(c) for c in reversed(p.coeffs)])
+
+    def check(got: Poly, want) -> None:
+        assert Poly(n, got.coeffs) == got
+        assert ref(got) == want
+
+    rng = random.Random(401 + n)
+    for _ in range(25):
+        a, b = _rand_poly_over(rng, n), _rand_poly_over(rng, n)
+        c = _rand_poly_over(rng, n).coeff(0)
+        ra, rb = ref(a), ref(b)
+        check(a + b, ra + rb)
+        check(a - b, ra - rb)
+        check(-a, -ra)
+        check(a * b, ra * rb)
+        check(a.scale(c), ra * scalar(c))
+        check(a.monic(), ra.monic() if not a.is_zero() else ra)
+        check(a.shift(2), ra * zs**2)
+        check(a.reversed(), ring.from_list(ra.to_dense()[::-1]))
+        if not b.is_zero():
+            q, r = a.divmod(b)
+            want_q, want_r = divmod(ra, rb)
+            check(q, want_q)
+            check(r, want_r)
+        if not (a.is_zero() and b.is_zero()):
+            check(poly_gcd(a, b), ra.gcd(rb).monic())
+
+
+def test_poly_results_are_canonical():
+    # Every result is in the one canonical form, whatever route reached its value.
+    rng = random.Random(47)
+    kernel_maps = [Mob(cyc(2), cyc(1), cyc(1), cyc(1)), Mob(cyc(0), CycNum.zeta(N), cyc(-1), cyc(3))]
+    for _ in range(30):
+        a, b = _rand_poly_over(rng, N), _rand_poly_over(rng, N)
+        c = _rand_poly_over(rng, N).coeff(0)
+        results = [a + b, a - b, a * b, a.scale(c), a.shift(1), a.reversed(), a.reversed(a.degree() + 2), a.monic()]
+        if not b.is_zero():
+            results.extend(a.divmod(b))
+            f = RatFun(a, b)
+            for mob in kernel_maps:
+                g = f.compose_moebius(mob)
+                results.extend([g.num, g.den])
+        for p in results:
+            assert_canonical(p)
+        # Equal values reached by different routes.
+        routes = [
+            (a + b, b + a),
+            (a * b, b * a),
+            ((a + b) * b, a * b + b * b),
+            (a.shift(2), a * Poly.x(N) * Poly.x(N)),
+            (a - a, Poly.zero(N)),
+            (a.scale(c) + a, a * Poly.const(c + CycNum.one(N))),
+            (a.reversed().reversed().shift(max(a.valuation(), 0)), a),
+        ]
+        if not b.is_zero():
+            q, r = a.divmod(b)
+            routes.append((q * b + r, a))
+        for x, y in routes:
+            assert x == y
+            assert hash(x) == hash(y)
+            assert x.coeffs == y.coeffs
+    with pytest.raises(AttributeError):
+        a.coeffs = ()
+
+
+def test_poly_products_build_no_cycnum(monkeypatch):
+    # Polynomial products stay on integer rows: no CycNum is built, neither in
+    # a product of two non-constant Poly nor in a RatMat product of polynomial entries.
+    rng = random.Random(53)
+    polys = [_rand_poly_over(rng, N) for _ in range(8)]
+    polys = [p if p.degree() >= 1 else p + Poly.x(N) for p in polys]
+    a = RatMat([[RatFun.from_poly(p) for p in polys[i : i + 2]] for i in (0, 2)])
+    b = RatMat([[RatFun.from_poly(p) for p in polys[i : i + 2]] for i in (4, 6)])
+    calls = []
+    init = CycNum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycNum, "__init__", counting_init)
+    polys[0] * polys[1]
+    a * b
     assert calls == []
