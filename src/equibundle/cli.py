@@ -220,9 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; parse_args returns a fresh Namespace on every call.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         report = args.func(args)
     except MalformedInput as exc:

@@ -164,27 +164,38 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and pivot column list."""
+    """Reduced row-echelon form and pivot column list.
+
+    Row operations touch only the pivot row's support (its nonzero columns):
+    scaling a zero and subtracting a multiple of one change nothing, and the
+    reduced form is unique, so the result is the dense elimination's.  Rows
+    at or below the pivot row are zero left of the pivot column, so the
+    support is collected from there.
+    """
     if not a:
         return [], []
     rows = [list(r) for r in a]
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        pivot = next((i for i in range(r, nrows) if not rows[i][col].is_zero()), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pinv = rows[r][col].inv()
-        rows[r] = [x * pinv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pinv = prow[col].inv()
+        support = [j for j in range(col, ncols) if not prow[j].is_zero()]
+        for j in support:
+            prow[j] = prow[j] * pinv
+        for i, row in enumerate(rows):
+            if i != r and not row[col].is_zero():
+                f = row[col]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(col)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows, pivots
 

@@ -9,15 +9,14 @@ re-validated) on load.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-from math import gcd
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import gcd, lcm
 from typing import Any
 
 from .bundle import TransitionCocycle
 from .cyclotomic import CycNum, euler_phi
 from .equivariant import CanonicalEntry, CanonicalForm, EquivariantBundle
-from .errors import MalformedInput
+from .errors import MalformedInput, ModulusMismatch
 from .extensions import PGLGroup, SplittingHom, pgl_group
 from .matgroup import (
     DEFAULT_CLOSURE_CAP,
@@ -50,8 +49,58 @@ __all__ = [
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic rendering: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering: sorted keys, fixed separators, trailing newline.
+
+    The text is json.dumps(obj, sort_keys=True, indent=2) + "\n", written
+    without json's pure-Python indenting encoder.  Reports are exact and
+    keyed by name, so a float or a non-string key raises TypeError.
+    """
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj: Any, out: list[str], newline: str) -> None:
+    """Append the JSON text of obj; newline is the line break plus the current indent."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -59,15 +108,18 @@ def _expect(cond: bool, message: str) -> None:
         raise MalformedInput(message)
 
 
+def _as_int(value: Any) -> int:
+    """A JSON integer or a decimal string as an integer; ValueError otherwise (bools, floats)."""
+    if type(value) not in (int, str):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _int_field(data: dict, key: str) -> int:
     """data[key] as an integer, written as a JSON integer or a decimal string."""
     value = data.get(key)
-    _expect(
-        isinstance(value, (int, str)) and not isinstance(value, bool),
-        f"{key} must be an integer, got {value!r}",
-    )
     try:
-        return int(value)
+        return _as_int(value)
     except ValueError as exc:
         raise MalformedInput(f"{key} must be an integer, got {value!r}") from exc
 
@@ -79,32 +131,73 @@ def cyc_to_json(c: CycNum) -> dict:
     }
 
 
-def cyc_from_json(data: Any) -> CycNum:
+def _scalar_from_json(data: Any) -> tuple[int, list[int], int]:
+    """(modulus, numerators, denominator) of a scalar file value, in lowest terms.
+
+    The denominator is positive and coprime to the numerators together: it is
+    the lcm of the reduced pair denominators b, each numerator being a*(den/b).
+    """
     _expect(isinstance(data, dict) and "coeffs" in data, "bad scalar")
     n = _int_field(data, "modulus")
     coeffs = data["coeffs"]
     _expect(isinstance(coeffs, list) and len(coeffs) == euler_phi(n), "bad coefficient count")
-    fracs = []
+    nums, dens = [], []
+    den = 1
     for pair in coeffs:
         _expect(isinstance(pair, list) and len(pair) == 2, "bad coefficient pair")
         try:
-            fracs.append(Fraction(int(pair[0]), int(pair[1])))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            a, b = _as_int(pair[0]), _as_int(pair[1])
+        except ValueError as exc:
             raise MalformedInput(f"bad coefficient {pair!r}: {exc}") from exc
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    nums = [int(f * den) for f in fracs]
-    return CycNum(n, nums, den)
+        if b != 1:
+            _expect(b != 0, f"bad coefficient {pair!r}: zero denominator")
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+            den = lcm(den, b)
+        nums.append(a)
+        dens.append(b)
+    if den != 1:
+        nums = [a * (den // b) for a, b in zip(nums, dens)]
+    return n, nums, den
+
+
+def cyc_from_json(data: Any) -> CycNum:
+    n, nums, den = _scalar_from_json(data)
+    return CycNum(n, nums, den, _normalized=True)
 
 
 def _poly_to_json(p: Poly) -> list:
-    return [cyc_to_json(c) for c in p.coeffs]
+    """One scalar per coefficient, each row over its own reduced denominator (as cyc_to_json)."""
+    n, den = p.n, p.den
+    out = []
+    for row in p.rows:
+        g = gcd(den, *row)
+        d = str(den // g)
+        out.append({"modulus": n, "coeffs": [[str(x // g), d] for x in row]})
+    return out
 
 
 def _poly_from_json(n: int, data: Any) -> Poly:
+    """The canonical polynomial: rows over the lcm of the coefficient denominators.
+
+    Each coefficient's numerators are coprime to its denominator together, so
+    over the lcm no prime divides the denominator and every numerator: one
+    coefficient carries that prime's full power and keeps a numerator it
+    does not divide.
+    """
     _expect(isinstance(data, list), "bad polynomial")
-    return Poly(n, [cyc_from_json(c) for c in data])
+    scalars = [_scalar_from_json(c) for c in data]
+    den = 1
+    for m, _, d in scalars:
+        if m != n:
+            raise ModulusMismatch(f"coefficient modulus {m} != {n}")
+        den = lcm(den, d)
+    rows = [
+        tuple(nums) if d == den else tuple(x * (den // d) for x in nums) for _, nums, d in scalars
+    ]
+    while rows and not any(rows[-1]):
+        rows.pop()
+    return Poly._raw(n, tuple(rows), den if rows else 1)
 
 
 def ratfun_to_json(f: RatFun) -> dict:

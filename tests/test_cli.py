@@ -157,8 +157,14 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     int_row = dict(good, transition=[5, 6])
     zero_den_poly = json.loads(json.dumps(good))
     zero_den_poly["transition"][0][0]["den"] = []
-    for data in (zero_den, bad_modulus, no_modulus, int_row, zero_den_poly):
-        path.write_text(serialize.dumps(data))
+    # Coefficients follow the integer-field rule: a JSON float or boolean is
+    # refused, not truncated by int().
+    float_num = json.loads(json.dumps(good))
+    float_num["transition"][0][0]["num"][0]["coeffs"][0] = [1.5, "1"]
+    bool_num = json.loads(json.dumps(good))
+    bool_num["transition"][0][0]["num"][0]["coeffs"][0] = [True, "1"]
+    for data in (zero_den, bad_modulus, no_modulus, int_row, zero_den_poly, float_num, bool_num):
+        path.write_text(json.dumps(data))
         code, report = run_cli(capsys, "split", "--input", str(path))
         assert code == 2
         assert report["error"] == "malformed_input"
@@ -190,6 +196,33 @@ def test_malformed_input_exit_code(tmp_path, capsys):
         code, report = run_cli(capsys, "sections", "--input", str(path))
         assert code == 2
         assert report["error"] == "malformed_input"
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys):
+    # The parser is built once per process; no parsed option may carry over
+    # from one call to the next.
+    code, report = run_cli(capsys, "--max-order", "2", "catalog", "--family", "binary_icosahedral")
+    assert code == 1
+    assert report["error"] == "mathematical_rejection"
+    code, report = run_cli(capsys, "catalog", "--family", "binary_icosahedral")
+    assert code == 0
+    assert report["order"] == 120
+    rng = random.Random(19)
+    from equibundle.plant import planted_cocycle
+
+    cocycle, _, _ = planted_cocycle(rng, 12, [1, -2])
+    path = tmp_path / "cocycle.json"
+    path.write_text(serialize.dumps(serialize.cocycle_to_json(cocycle)))
+    assert main(["split", "--input", str(path)]) == 0
+    in_process = capsys.readouterr().out
+    fresh = subprocess.run(
+        [sys.executable, "-m", "equibundle.cli", "split", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert in_process == fresh.stdout
 
 
 def test_verify_determinism_byte_identical(tmp_path, capsys):
