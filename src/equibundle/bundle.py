@@ -82,13 +82,20 @@ class TransitionCocycle:
 
 
 class BirkhoffFactorization:
-    """T = U_plus * D * U_minus with monomial diagonal D and sorted degrees."""
+    """T = U_plus * D * U_minus with monomial diagonal D and sorted degrees.
+
+    residual_zero and in_rings carry the results of the checks that
+    birkhoff_factor made (None until checked), so a report reads them instead
+    of forming the product again.
+    """
 
     def __init__(self, u_plus: RatMat, degrees: tuple[int, ...], u_minus: RatMat):
         self.u_plus = u_plus
         self.degrees = tuple(degrees)
         self.u_minus = u_minus
         self.n = u_plus.n
+        self.residual_zero: Optional[bool] = None
+        self.in_rings: Optional[bool] = None
         if any(degrees[i] < degrees[i + 1] for i in range(len(degrees) - 1)):
             raise MathRejection("factorization degrees are not sorted")
 
@@ -440,18 +447,6 @@ def _w_matrix_to_ratmat(rows: list[list[Poly]]) -> RatMat:
     return RatMat([[_w_poly_to_ratfun(p) for p in row] for row in rows])
 
 
-def _ratfun_to_w_poly(f: RatFun) -> Poly:
-    """Interpret a Laurent polynomial with exponents <= 0 as a polynomial in w."""
-    n = f.n
-    if f.is_zero():
-        return Poly.zero(n)
-    v, p = f.laurent_parts()
-    hi = v + p.degree()
-    if hi > 0:
-        raise MalformedInput("positive exponents cannot convert to the w chart")
-    return p.reversed().shift(-hi)
-
-
 # ---------------------------------------------------------------------------
 # The factorization engine
 
@@ -613,9 +608,11 @@ def birkhoff_factor(cocycle: TransitionCocycle) -> BirkhoffFactorization:
     """Exact factorization T = U_plus * diag(z^d) * U_minus, degrees sorted."""
     l_mat, degrees, r_mat = _birkhoff_core(cocycle.transition)
     fact = BirkhoffFactorization(l_mat, tuple(degrees), r_mat)
-    if not fact.residual_is_zero(cocycle):
+    fact.residual_zero = fact.residual_is_zero(cocycle)
+    if not fact.residual_zero:
         raise MathRejection("factorization residual is nonzero")
-    if not fact.factors_in_rings():
+    fact.in_rings = fact.factors_in_rings()
+    if not fact.in_rings:
         raise MathRejection("factorization factors left their rings")
     return fact
 

@@ -64,7 +64,7 @@ def cmd_split(args) -> dict:
         "command": "split",
         "splitting_type": list(fact.degrees),
         "total_degree": cocycle.degree,
-        "residual_zero": fact.residual_is_zero(cocycle),
+        "residual_zero": fact.residual_zero,
         "hn_slopes": list(hn.slopes),
         "hn_multiplicities": list(hn.multiplicities),
         "factorization": {

@@ -62,9 +62,10 @@ GroupLike = Union[FiniteMatrixGroup, PGLGroup]
 def _action_table(group: GroupLike, rank: int, gen_action: Sequence[RatMat]) -> list[RatMat]:
     """a_g for every element g, from a_{x g_t}(z) = a_x(g_t z) * a_{g_t}(z)."""
 
+    mobs = [MoebiusMap(group.elements[gi]) for gi in group.generator_indices]
+
     def step(prev: RatMat, t: int) -> RatMat:
-        mob = MoebiusMap(group.elements[group.generator_indices[t]])
-        return prev.compose_moebius(mob) * gen_action[t]
+        return prev.compose_moebius(mobs[t]) * gen_action[t]
 
     return group.extend(RatMat.identity(group.n, rank), step)
 
@@ -148,43 +149,43 @@ def _has_pole_off(m: RatMat, lin: Poly) -> bool:
 def _chart_regularity_issues(
     elem: SL2Elem,
     a_mat: RatMat,
-    base: TransitionCocycle,
-    t_inv: RatMat,
+    chart1: RatMat,
     label,
-    a_inv: Optional[RatMat] = None,
+    inverses: Optional[tuple[RatMat, RatMat]] = None,
 ) -> list[dict]:
     """Poles of the action and of its inverse on both charts.
 
-    a_inv, when given, is the certified inverse a_{g^-1}(g z) of a_mat: the
-    cocycle pair (g^-1, g) has passed, so a_{g^-1}(g z) a_g(z) = I exactly,
-    and a left inverse of a square matrix is its inverse.  The chart-1
-    inverse T(z)^(-1) a(z)^(-1) T(g z) is then a product of known matrices,
-    and substituting w = 1/z commutes with products and inverses.  Without
-    a_inv (the pair failed, so the bundle is invalid anyway) both inverses
-    come from Gauss-Jordan, and a singular matrix is reported.
+    chart1 is C_g(z) = T(g z)^(-1) a_g(z) T(z), the action in chart-1 frames,
+    still written in z.  inverses, when given, are the certified inverses
+    (a_{g^-1}(g z), C_{g^-1}(g z)) of a_mat and chart1: the cocycle pair
+    (g^-1, g) has passed, so a_{g^-1}(g z) a_g(z) = I exactly, hence
+    C_{g^-1}(g z) C_g(z) = T(z)^(-1) a_{g^-1}(g z) a_g(z) T(z) = I, and a left
+    inverse of a square matrix is its inverse.  Substituting w = 1/z commutes
+    with inverses.  Without them (the pair failed, so the bundle is invalid
+    anyway) both inverses come from Gauss-Jordan, and a singular matrix is
+    reported.
     """
     issues: list[dict] = []
     mu = mu_poly(elem)
-    mob = MoebiusMap(elem)
-    certified = a_inv is not None
-    if not certified:
+    if inverses is None:
         try:
             a_inv = a_mat.inv()
         except SingularMatrix:
             return [{"kind": "singular_action", "element": label}]
+    else:
+        a_inv, chart1_inv = inverses
     for name, m in (("action", a_mat), ("action_inverse", a_inv)):
         if _has_pole_off(m, mu):
             issues.append({"kind": f"chart0_pole_{name}", "element": label})
-    # chart-1 matrix: T(g z)^(-1) a(z) T(z), written in w = 1/z
-    chart1_w = _in_w(t_inv.compose_moebius(mob) * a_mat * base.transition)
-    if certified:
-        chart1_w_inv = _in_w(t_inv * a_inv * base.transition.compose_moebius(mob))
-    else:
+    chart1_w = _in_w(chart1)
+    if inverses is None:
         try:
             chart1_w_inv = chart1_w.inv()
         except SingularMatrix:
             return issues + [{"kind": "singular_chart1", "element": label}]
-    lin = Poly(base.n, [elem.a, elem.b])  # a + b w vanishes where the image leaves chart 1
+    else:
+        chart1_w_inv = _in_w(chart1_inv)
+    lin = Poly(elem.n, [elem.a, elem.b])  # a + b w vanishes where the image leaves chart 1
     for name, m in (("chart1", chart1_w), ("chart1_inverse", chart1_w_inv)):
         if _has_pole_off(m, lin):
             issues.append({"kind": f"pole_{name}", "element": label})
@@ -205,7 +206,9 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
     induction along generator words but much cheaper.  Both levels check the
     pair (g^-1, g) of every element g whose regularity they test, and a
     passing pair hands its a_{g^-1}(g z) to the regularity check as the
-    inverse of a_g.
+    inverse of a_g, and C_{g^-1} composed with g as the inverse of the
+    chart-1 matrix C_g.  Each element gets one MoebiusMap per call, so every
+    substitution by that element reuses one set of power rows.
     """
     if level not in ("all", "relations"):
         raise MalformedInput("level must be 'all' or 'relations'")
@@ -228,7 +231,7 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
         pair_iter = (
             (i, gi) for i in range(group.order) for gi in group.generator_indices
         )
-    certified_inv: dict[int, RatMat] = {}
+    certified_inv: dict[int, RatMat] = {}  # j -> a_{j^-1}(j z), once the pair passed
     for i, j in pair_iter:
         checked["cocycle_pairs"] += 1
         ij = group.mul(i, j)
@@ -243,13 +246,18 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
         reg_elems = list(range(group.order))
     else:
         reg_elems = list(group.generator_indices)
-    t_inv = bundle.base.transition.inv()
+    transition = bundle.base.transition
+    t_inv = transition.inv()
+    # C_i(z) = T(i z)^(-1) a_i(z) T(z), once for each element the checks read.
+    wanted = set(reg_elems) | {group.inv(i) for i in reg_elems if i in certified_inv}
+    chart1 = {i: t_inv.compose_moebius(mobs[i]) * table[i] * transition for i in sorted(wanted)}
     for i in reg_elems:
         checked["regularity_elements"] += 1
+        inverses = None
+        if i in certified_inv:
+            inverses = (certified_inv[i], chart1[group.inv(i)].compose_moebius(mobs[i]))
         violations.extend(
-            _chart_regularity_issues(
-                group.elements[i], table[i], bundle.base, t_inv, i, certified_inv.get(i)
-            )
+            _chart_regularity_issues(group.elements[i], table[i], chart1[i], i, inverses)
         )
     return ValidationReport(checked, violations)
 
@@ -479,7 +487,7 @@ def classify_with_certificates(
     certificates: dict = {
         "validation": report.as_dict(),
         "factorization_degrees": list(fact.degrees),
-        "factorization_residual_zero": fact.residual_is_zero(bundle.base),
+        "factorization_residual_zero": fact.residual_zero,
         "hn_blocks": [],
         "averaging": [],
         "modules": [],

@@ -105,9 +105,6 @@ class SL2Elem:
     def is_identity(self) -> bool:
         return self.a.is_one() and self.d.is_one() and self.b.is_zero() and self.c.is_zero()
 
-    def is_minus_identity(self) -> bool:
-        return (self == -SL2Elem.identity(self.n))
-
     def matrix(self) -> Matrix:
         return [[self.a, self.b], [self.c, self.d]]
 
@@ -274,6 +271,17 @@ def closure_tables(
     indexing; the identity map gives a matrix group, sign normalization
     gives projective cosets.  Returns (elements, mul_table, gen_indices,
     parent, last_gen).
+
+    The search forms x * g_t for every element x and generator t, and keeps
+    the index of each product: the right Cayley graph.  When it ends, the
+    set is closed under right multiplication by every generator, so by
+    induction on word length it is closed under every product of
+    generators; in a finite group g^-1 is a positive power of g, so the set
+    is the group.  Element y is parent[y] * g_last_gen[y], hence
+    x * y = (x * parent[y]) * g_last_gen[y], and each row of mul_table fills
+    in element order by lookups alone (parents precede their children).
+    Sign normalization commutes with products, (-x) y = -(x y), so the same
+    holds for projective cosets.
     """
     if not gens:
         raise MalformedInput("at least one generator required")
@@ -290,16 +298,20 @@ def closure_tables(
     index = {identity.key(): 0}
     parent = [0]
     last_gen = [-1]
+    right_keys: list[list[tuple]] = []  # right_keys[x][t]: key of x * g_t
     frontier = [0]
     while frontier:
         discovered: dict[tuple, tuple[SL2Elem, int, int]] = {}
         for xi in frontier:
             x = elements[xi]
+            keys = []
             for gi, g in enumerate(gens):
                 y = normalize(x * g)
                 k = y.key()
+                keys.append(k)
                 if k not in index and k not in discovered:
                     discovered[k] = (y, xi, gi)
+            right_keys.append(keys)
         new_items = sorted(discovered.values(), key=lambda t: t[0].sort_key())
         frontier = []
         for y, xi, gi in new_items:
@@ -312,15 +324,12 @@ def closure_tables(
             parent.append(xi)
             last_gen.append(gi)
             frontier.append(len(elements) - 1)
+    right = [[index[k] for k in keys] for keys in right_keys]
     mul_table = []
-    for x in elements:
-        row = []
-        for y in elements:
-            z = normalize(x * y)
-            zi = index.get(z.key())
-            if zi is None:
-                raise MathRejection("closure is not multiplicatively closed")
-            row.append(zi)
+    for x in range(len(elements)):
+        row = [x]
+        for y in range(1, len(elements)):
+            row.append(right[row[parent[y]]][last_gen[y]])
         mul_table.append(row)
     gen_indices = [index[g.key()] for g in gens]
     return elements, mul_table, gen_indices, parent, last_gen

@@ -18,7 +18,7 @@ from .cyclotomic import CycNum
 from .errors import MalformedInput
 from .linalg import Matrix
 from .matgroup import SL2Elem, trivial_representation
-from .ratfun import Poly, RatFun
+from .ratfun import Poly, RatFun, _MoebiusKernel
 
 __all__ = [
     "MoebiusMap",
@@ -32,20 +32,25 @@ __all__ = [
 
 
 class MoebiusMap:
-    """The fractional-linear map z -> (a z + b)/(c z + d) of a matrix."""
+    """The fractional-linear map z -> (a z + b)/(c z + d) of a matrix.
 
-    __slots__ = ("source", "a", "b", "c", "d")
+    The map keeps its substitution kernel: every compose_moebius by the same
+    map object reuses the power rows (a z + b)^i (c z + d)^(k - i) built so
+    far, and the rows go away with the map.
+    """
+
+    __slots__ = ("source", "a", "b", "c", "d", "_kernel")
 
     def __init__(self, source: SL2Elem):
         self.source = source
         self.a, self.b, self.c, self.d = source.a, source.b, source.c, source.d
+        self._kernel: _MoebiusKernel | None = None
 
-    def inverse(self) -> MoebiusMap:
-        return MoebiusMap(self.source.inv())
-
-    def as_ratfun(self) -> RatFun:
-        n = self.source.n
-        return RatFun(Poly(n, [self.b, self.a]), Poly(n, [self.d, self.c]))
+    def kernel(self) -> _MoebiusKernel:
+        """The substitution kernel, built on the first substitution."""
+        if self._kernel is None:
+            self._kernel = _MoebiusKernel(self, self.source.n)
+        return self._kernel
 
     def __repr__(self) -> str:
         return f"MoebiusMap({self.source!r})"

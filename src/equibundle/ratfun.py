@@ -610,7 +610,7 @@ class RatFun:
         docstring), so the result is canonical without a gcd.  A map with
         a d - b c = 0 raises MalformedInput.
         """
-        return _MoebiusKernel(mob, self.n).apply(self)
+        return _kernel_of(mob, self.n).apply(self)
 
     # -- comparisons --------------------------------------------------
 
@@ -629,13 +629,13 @@ class RatFun:
 
 
 class _MoebiusKernel:
-    """Substitution z -> (a z + b)/(c z + d) shared by the entries of one call.
+    """Substitution z -> (a z + b)/(c z + d), kept by its map across calls.
 
-    rows[k][i] = (a z + b)^i (c z + d)^(k - i) for i = 0..k, built on demand,
-    so substituting into a polynomial of degree at most k is a linear
-    combination of row k.  A rational function P/Q is substituted with the
-    row of degree max(deg P, deg Q) on both sides, which leaves the result
-    coprime when a d - b c != 0 (see the module docstring).
+    rows[k][i] = (a z + b)^i (c z + d)^(k - i) for i = 0..k, built on demand
+    and kept, so substituting into a polynomial of degree at most k is a
+    linear combination of row k.  A rational function P/Q is substituted
+    with the row of degree max(deg P, deg Q) on both sides, which leaves the
+    result coprime when a d - b c != 0 (see the module docstring).
     """
 
     __slots__ = ("n", "lin_num", "lin_den", "rows")
@@ -692,6 +692,17 @@ class _MoebiusKernel:
         return RatFun(num, den, _canonical=True)
 
 
+def _kernel_of(mob, n: int) -> _MoebiusKernel:
+    """The kernel mob keeps (MoebiusMap.kernel), else a fresh one for this call."""
+    kept = getattr(mob, "kernel", None)
+    if kept is None:
+        return _MoebiusKernel(mob, n)
+    kernel = kept()
+    if kernel.n != n:
+        raise ModulusMismatch(f"coefficient modulus {kernel.n} != {n}")
+    return kernel
+
+
 def invert_variable(f: RatFun) -> RatFun:
     """Substitute z -> 1/z, mapping between the two chart coordinates."""
     n = f.n
@@ -746,11 +757,6 @@ class RatMat:
         return RatMat([[one if i == j else zero for j in range(size)] for i in range(size)])
 
     @staticmethod
-    def zeros(n: int, rows: int, cols: int) -> RatMat:
-        zero = RatFun.zero(n)
-        return RatMat([[zero] * cols for _ in range(rows)])
-
-    @staticmethod
     def diag(entries: Iterable[RatFun]) -> RatMat:
         entries = list(entries)
         n = entries[0].n
@@ -759,10 +765,6 @@ class RatMat:
         return RatMat(
             [[entries[i] if i == j else zero for j in range(size)] for i in range(size)]
         )
-
-    @staticmethod
-    def from_const(matrix: Iterable[Iterable[CycNum]]) -> RatMat:
-        return RatMat([[RatFun.const(c) for c in row] for row in matrix])
 
     # -- structure ----------------------------------------------------
 
@@ -780,11 +782,6 @@ class RatMat:
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
         return RatMat([list(a) + list(b) for a, b in zip(self.entries, other.entries)])
-
-    def vstack(self, other: RatMat) -> RatMat:
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack column mismatch")
-        return RatMat(list(self.entries) + list(other.entries))
 
     def with_entry(self, i: int, j: int, value: RatFun) -> RatMat:
         rows = [list(row) for row in self.entries]
@@ -875,10 +872,11 @@ class RatMat:
     def compose_moebius(self, mob) -> RatMat:
         """Substitute z -> (a z + b)/(c z + d) into every entry; requires a d - b c != 0.
 
-        One kernel serves all entries, so they share its power rows; each
-        result is canonical without a gcd, as in RatFun.compose_moebius.
+        One kernel serves all entries, so they share its power rows, and a
+        MoebiusMap keeps its kernel for later calls; each result is canonical
+        without a gcd, as in RatFun.compose_moebius.
         """
-        kernel = _MoebiusKernel(mob, self.n)
+        kernel = _kernel_of(mob, self.n)
         return RatMat([[kernel.apply(e) for e in row] for row in self.entries])
 
     def eval(self, point: CycNum) -> list[list[CycNum]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from equibundle.cyclotomic import CycNum
 from equibundle.linalg import mat_vec, nullspace
-from equibundle.matgroup import CharacterVector, Representation
+from equibundle.matgroup import CharacterVector, Representation, SL2Elem
 
 
 def _eigenspace(mat, lam: CycNum):
@@ -109,3 +109,34 @@ def unique_characters(chars: list[CharacterVector]) -> list[CharacterVector]:
         if not any(c == s for s in seen):
             seen.append(c)
     return seen
+
+
+def direct_closure_tables(gens: list[SL2Elem], normalize=lambda g: g):
+    """Breadth-first closure with the multiplication table from all |G|^2 products.
+
+    The same search and element order as matgroup.closure_tables, written
+    out independently, with mul[x][y] the index of normalize(x * y) formed
+    directly for every pair.  Returns (elements, mul_table, gen_indices,
+    parent, last_gen).
+    """
+    gens = [normalize(g) for g in gens]
+    elements = [normalize(SL2Elem.identity(gens[0].n))]
+    index = {elements[0]: 0}
+    parent, last_gen = [0], [-1]
+    frontier = [0]
+    while frontier:
+        found = {}
+        for xi in frontier:
+            for gi, g in enumerate(gens):
+                y = normalize(elements[xi] * g)
+                if y not in index and y not in found:
+                    found[y] = (xi, gi)
+        frontier = []
+        for y in sorted(found, key=SL2Elem.sort_key):
+            index[y] = len(elements)
+            frontier.append(len(elements))
+            elements.append(y)
+            parent.append(found[y][0])
+            last_gen.append(found[y][1])
+    table = [[index[normalize(x * y)] for y in elements] for x in elements]
+    return elements, table, [index[g] for g in gens], parent, last_gen

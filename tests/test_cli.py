@@ -47,6 +47,29 @@ def test_split_command(tmp_path, capsys):
     assert report["residual_zero"] is True
 
 
+def test_split_forms_the_factor_product_once(tmp_path, capsys, monkeypatch):
+    # birkhoff_factor checks U+ D U- = T once; the report reads that result.
+    from equibundle.bundle import BirkhoffFactorization
+    from equibundle.plant import planted_cocycle
+
+    cocycle, _, _ = planted_cocycle(random.Random(5), 12, [2, 0, -1])
+    path = tmp_path / "cocycle.json"
+    path.write_text(serialize.dumps(serialize.cocycle_to_json(cocycle)))
+    calls = []
+    original = BirkhoffFactorization.product
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(BirkhoffFactorization, "product", counting)
+    code, report = run_cli(capsys, "split", "--input", str(path))
+    assert code == 0
+    assert report["splitting_type"] == [2, 0, -1]
+    assert report["residual_zero"] is True
+    assert len(calls) == 1
+
+
 def test_split_rejects_non_cocycle(tmp_path, capsys):
     n = 12
     bad = {

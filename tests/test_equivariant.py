@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from equibundle import equivariant
+from equibundle import equivariant, ratfun
 from equibundle.bundle import birkhoff_factor, splitting_type
 from equibundle.cyclotomic import CycNum
 from equibundle.equivariant import (
@@ -188,6 +188,41 @@ def test_valid_bundle_validation_inverts_only_the_transition(monkeypatch):
         calls.clear()
         assert validate_equivariance(bundle, level=level).ok
         assert calls == [bundle.base.transition], level
+
+
+def test_validation_substitutes_once_per_element(monkeypatch):
+    # Order 12, rank 3, action table prebuilt.  Level "all": one Moebius
+    # kernel per element; the |G|^2 pair products plus C_g = T(g z)^-1 a_g T
+    # (two products) per element; C_g^-1 is C_{g^-1} composed with g.
+    g = catalog("binary_dihedral", 3).group()
+    cf = CanonicalForm(
+        [CanonicalEntry(1, standard_representation(g)), CanonicalEntry(0, trivial_representation(g))]
+    )
+    bundle = random_retrivialization(random.Random(3), build_from_canonical(cf, g))
+    assert (g.order, bundle.rank) == (12, 3)
+    bundle.action_table()
+    counts = {"kernel": 0, "mul": 0, "inv": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ratfun._MoebiusKernel, "__init__", counting("kernel", ratfun._MoebiusKernel.__init__))
+    monkeypatch.setattr(RatMat, "__mul__", counting("mul", RatMat.__mul__))
+    monkeypatch.setattr(RatMat, "inv", counting("inv", RatMat.inv))
+    # Level "relations": 12 x 2 pairs, C for the two generators and their
+    # inverses; kernels for the generators and their inverses.
+    expected = {
+        "all": {"kernel": 12, "mul": 144 + 2 * 12, "inv": 1},
+        "relations": {"kernel": 4, "mul": 24 + 2 * 4, "inv": 1},
+    }
+    for level in ("all", "relations"):
+        counts.update(kernel=0, mul=0, inv=0)
+        assert validate_equivariance(bundle, level=level).ok
+        assert counts == expected[level], level
 
 
 def test_sign_rescaling_is_a_character_twist():

@@ -6,6 +6,7 @@ import pytest
 
 from equibundle.cyclotomic import CycNum
 from equibundle.errors import ClosureCapExceeded, MathRejection
+from equibundle.extensions import pgl_group, sign_normalize
 from equibundle.linalg import (
     identity_matrix,
     mat_eq,
@@ -17,6 +18,7 @@ from equibundle.linalg import (
 from equibundle.matgroup import (
     Representation,
     SL2Elem,
+    TabularGroup,
     catalog,
     character,
     generate_group,
@@ -27,7 +29,12 @@ from equibundle.matgroup import (
     trivial_representation,
 )
 
-from oracles import binary_dihedral_constituents, cyclic_constituents, unique_characters
+from oracles import (
+    binary_dihedral_constituents,
+    cyclic_constituents,
+    direct_closure_tables,
+    unique_characters,
+)
 
 
 def quaternion_group():
@@ -69,6 +76,40 @@ def test_mul_table_associative_exhaustive():
             ij = g.mul(i, j)
             for k in range(g.order):
                 assert g.mul(ij, k) == g.mul(i, g.mul(j, k))
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [
+        ("cyclic", 6),
+        ("binary_dihedral", 2),
+        ("binary_dihedral", 3),
+        ("binary_dihedral", 5),
+        ("binary_tetrahedral", None),
+        ("binary_octahedral", None),
+        ("binary_icosahedral", None),
+    ],
+)
+def test_cayley_graph_tables_match_direct_products(family, param):
+    # The SL(2) group, its PGL image and the image's preimage, each against
+    # the table of all |G|^2 normalised products and the structure built on it.
+    entry = catalog(family, param)
+    image = pgl_group(entry.generators)
+    minus = -SL2Elem.identity(entry.modulus)
+    cases = (
+        (entry.group(), entry.generators, lambda g: g),
+        (image, entry.generators, sign_normalize),
+        (image.preimage, list(image.generator_reps) + [minus], lambda g: g),
+    )
+    for group, gens, normalize in cases:
+        elements, table, gen_indices, parent, last_gen = direct_closure_tables(gens, normalize)
+        assert group.elements == tuple(elements)
+        assert group.mul_table == tuple(tuple(row) for row in table)
+        assert group.generator_indices == tuple(gen_indices)
+        assert (group.parent, group.last_gen) == (tuple(parent), tuple(last_gen))
+        reference = TabularGroup(elements, table, gen_indices, parent, last_gen)
+        assert group.inverse_table == reference.inverse_table
+        assert group.conjugacy_classes == reference.conjugacy_classes
 
 
 def test_closure_cap_exceeded():

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from equibundle.cyclotomic import CycNum
-from equibundle.errors import ParityObstruction
+from equibundle.errors import ModulusMismatch, ParityObstruction
 from equibundle.linalg import mat_eq, mat_mul
 from equibundle.matgroup import SL2Elem, catalog, generate_group
 from equibundle.moebius import (
     AutomorphyFactor,
+    MoebiusMap,
     act_point,
     automorphy_factor,
     natural_structure,
@@ -62,6 +63,23 @@ def test_act_point_is_group_action_exhaustive():
         for b in g.elements:
             for p in points:
                 assert act_point(a * b, p) == act_point(a, act_point(b, p))
+
+
+def test_kept_kernel_matches_a_fresh_map_per_call():
+    # One map object keeps its power rows across calls and grows them on
+    # demand; the results equal those of a new map for every call.
+    g = catalog("binary_dihedral", 3).group()
+    n = g.n
+    rng = random.Random(11)
+    for elem in g.elements[1:6]:
+        kept = MoebiusMap(elem)
+        for deg in (3, 1, 5, 0, 4):
+            num = Poly(n, [CycNum.from_int(n, rng.randint(-3, 3)) for _ in range(deg + 1)])
+            den = Poly(n, [CycNum.from_int(n, rng.randint(1, 3)), CycNum.one(n)])
+            f = RatFun(num, den)
+            assert f.compose_moebius(kept) == f.compose_moebius(MoebiusMap(elem))
+        with pytest.raises(ModulusMismatch):
+            RatFun.one(5).compose_moebius(kept)
 
 
 @pytest.mark.parametrize("degree", [-2, -1, 0, 1, 2, 3])
