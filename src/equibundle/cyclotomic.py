@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 import cmath
 
 from .errors import DivisionByZero, MalformedInput, ModulusMismatch
@@ -302,6 +302,36 @@ class CycNum:
         self._check(other)
         out = _vec_mul(_context(self.n), self.num, other.num)
         return CycNum(self.n, out, self.den * other.den)
+
+    @staticmethod
+    def dot(xs, ys) -> CycNum:
+        """sum_i xs[i] * ys[i], for nonempty xs.
+
+        One integer convolution of all terms over the lcm of their
+        denominator products, then one reduction mod Phi_N and one
+        normalisation.
+        """
+        n = xs[0].n
+        terms = []
+        den = 1
+        for x, y in zip(xs, ys):
+            if x.n != n or y.n != n:
+                raise ModulusMismatch(f"mixed moduli {x.n} and {y.n}")
+            if any(x.num) and any(y.num):
+                d = x.den * y.den
+                den = lcm(den, d)
+                terms.append((x.num, y.num, d))
+        ctx = _context(n)
+        conv = [0] * (2 * ctx.phi - 1)
+        for a, b, d in terms:
+            f = den // d
+            for i, x in enumerate(a):
+                if x:
+                    x *= f
+                    for j, y in enumerate(b, i):
+                        if y:
+                            conv[j] += x * y
+        return CycNum(n, _fold(ctx, conv), den)
 
     def inv(self) -> CycNum:
         """Multiplicative inverse by the Galois norm.

@@ -126,19 +126,16 @@ class ValidationReport:
 
 
 def _divides_linear_power(den: Poly, lin: Poly) -> bool:
-    """True iff den divides some power of the (monic or constant) linear lin."""
+    """True iff the monic den divides some power of the linear or constant lin.
+
+    The monic divisors of (z - r)^k are the powers (z - r)^j, so den must be
+    the power of the monic lin of its own degree.
+    """
     if den.is_const():
         return True
     if lin.degree() < 1:
         return False
-    hat = lin.monic()
-    cur = den
-    while cur.degree() > 0:
-        q, r = cur.divmod(hat)
-        if not r.is_zero():
-            return False
-        cur = q
-    return True
+    return den == lin.monic() ** den.degree()
 
 
 def _has_pole_off(m: RatMat, lin: Poly) -> bool:

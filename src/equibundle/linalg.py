@@ -4,8 +4,11 @@ Matrices are immutable-by-convention lists of lists whose entries are CycNum
 (a cyclotomic field) or RatFun (rational functions over it); RatMat keeps
 its entries in this form and calls these loops.  identity_matrix and
 zero_matrix build CycNum matrices; every other routine uses only ring
-operations, is_zero, is_one, inv and the entry type's one/zero, so both
-entry types run the same code.  Pivoting is deterministic (first nonzero
+operations, is_zero, is_one, inv, the entry type's one/zero and its dot
+product, so both entry types run the same code.  The entry type supplies
+the dot product: mat_mul and mat_vec keep no product loop of their own,
+each output entry is type(entry).dot(row, col), and the entry type sums
+the terms with one normalisation.  Pivoting is deterministic (first nonzero
 entry), so reduced forms and nullspace bases are reproducible.  rref is the
 one Gauss-Jordan elimination in the package; mat_inv uses the closed-form
 adjugate up to size 3 and rref of [A | I] above it.
@@ -36,31 +39,14 @@ def _zero_like(x):
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise DimensionMismatch("matrix product shape mismatch")
-    zero = _zero_like(a[0][0])
+    dot = type(a[0][0]).dot
     bt = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = zero
-            for x, y in zip(row, col):
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    return [[dot(row, col) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, v: list[CycNum]) -> list[CycNum]:
-    zero = _zero_like(a[0][0])
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + x * y
-        out.append(acc)
-    return out
+    dot = type(a[0][0]).dot
+    return [dot(row, v) for row in a]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

@@ -31,10 +31,44 @@ Q~ likewise.  P~ and Q~ share no root:
 
 One scaling by the inverse of the leading coefficient of Q~ then makes the
 result canonical.
+
+Two shapes of map make every power row a monomial, and the kernel keeps the
+powers of one field element instead of rows (the map's entries choose the
+rule when the kernel is built):
+
+* b = c = 0, z -> alpha z with alpha = a/d: P~ = d^k sum_i P_i alpha^i z^i,
+  and Q~ has leading coefficient d^k alpha^(deg Q) (Q is monic), so
+  coefficient i of the result is P_i alpha^(i - deg Q) and its denominator is
+  monic as built;
+* a = d = 0, z -> nu/z with nu = b/c: P~ = c^k sum_i P_i nu^i z^(k - i), and
+  Q~ has leading coefficient c^k nu^v Q_v at z^(k - v), v = val Q, so
+  coefficient i moves to z^(k - i) scaled by nu^(i - v), and one scaling by
+  the inverse of Q_v remains; Q_v = 1 for polynomial and Laurent entries.
+
+These are the kernel's own P~ and Q~ divided by a constant, so they are
+coprime by the argument above.
+
+Laurent data needs no gcd either.  A canonical denominator is monic, so a
+monomial denominator is exactly z^k, and the only monic divisors of z^k are
+powers of z: num / z^k with num coprime to it is canonical exactly when k = 0
+or num has a nonzero constant term.  A product of two such values is
+num_x num_y / z^(a + b), and a sum is (num_x z^(k - a) + num_y z^(k - b)) / z^k
+with k = max(a, b); stripping z^min(valuation of the numerator, exponent)
+makes either canonical.  Other products cancel the cross gcds
+gcd(num_x, den_y) and gcd(num_y, den_x) (Henrici; Knuth, TAOCP vol. 2,
+4.5.1): num_x is coprime to den_x and num_y to den_y already, so after the
+two cancellations no factor of the numerator product divides the
+denominator product, and a product of monic denominators is monic.  A gcd
+with a constant side is 1 and is skipped; a gcd with z^k is a power of z and
+is read off the valuation.  RatFun.dot sums a whole matrix-product entry with
+one normalisation: by shifts when every denominator is a power of z, else
+over one denominator per distinct denominator product, with an lcm only
+when two or more remain.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional
@@ -117,6 +151,21 @@ class Poly:
                 rows = [[x // g for x in r] for r in rows]
         return Poly._raw(n, tuple(map(tuple, rows)), den)
 
+    @staticmethod
+    def _sum(n: int, terms) -> Poly:
+        """sum of p z^s over the (p, s) in terms, over the lcm of their denominators.
+
+        One pass over the integer rows and one normalisation, however many
+        terms there are.
+        """
+        den = lcm(*(p.den for p, _ in terms))
+        acc = [(0,) * _context(n).phi] * max(len(p.rows) + s for p, s in terms)
+        for p, s in terms:
+            f = den // p.den
+            for i, r in enumerate(p.rows, s):
+                acc[i] = [a + x * f for a, x in zip(acc[i], r)]
+        return Poly._normal(n, acc, den)
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -173,7 +222,8 @@ class Poly:
         return bool(rows) and rows[-1][0] == self.den and not any(rows[-1][1:])
 
     def is_monomial(self) -> bool:
-        return bool(self.rows) and not any(map(any, self.rows[:-1]))
+        rows = self.rows
+        return len(rows) == 1 or bool(rows) and not any(map(any, rows[:-1]))
 
     def valuation(self) -> int:
         """Order of vanishing at 0; the zero polynomial has valuation -1."""
@@ -289,8 +339,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
@@ -440,35 +491,13 @@ class RatFun:
 
     @staticmethod
     def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        n = num.n
+        """The canonical form of num / den: a monic denominator, then the gcd cancelled."""
         if num.is_zero():
-            return num, Poly.one(n)
-        if den.is_const():
-            if den.is_one():
-                return num, den
-            return num.scale(den.lead().inv()), Poly.one(n)
-        # Shared powers of z are the common case for Laurent data.
-        vn, vd = num.valuation(), den.valuation()
-        if vn > 0 and vd > 0:
-            k = min(vn, vd)
-            num = num.drop_low(k)
-            den = den.drop_low(k)
-            if den.is_const():
-                return RatFun._reduce(num, den)
-        if den.is_monomial():
-            if not den.is_monic():
-                num = num.scale(den.lead().inv())
-                den = Poly.one(n).shift(den.degree())
-            return num, den
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
+            return num, Poly.one(num.n)
         if not den.is_monic():
             inv = den.lead().inv()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return num, den
+            num, den = num.scale(inv), den.scale(inv)
+        return _cancel(num, den)
 
     # -- constructors -------------------------------------------------
 
@@ -553,16 +582,20 @@ class RatFun:
             raise ModulusMismatch(f"mixed moduli {self.n} and {other.n}")
 
     def __add__(self, other: RatFun) -> RatFun:
+        """The sum; over z^a and z^b it is formed by shifts, with no gcd (module docstring)."""
         self._check(other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            if self.den.is_one():  # two polynomials: the sum is canonical
-                return RatFun(self.num + other.num, self.den, _canonical=True)
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b = self.den, other.den
+        if a.is_monomial() and b.is_monomial():
+            i, j = a.degree(), b.degree()
+            k = max(i, j)
+            return RatFun._over_z(self.num.shift(k - i) + other.num.shift(k - j), k)
+        if a == b:
+            return RatFun(self.num + other.num, a)
+        return RatFun(self.num * b + other.num * a, a * b)
 
     def __sub__(self, other: RatFun) -> RatFun:
         return self + (-other)
@@ -571,12 +604,73 @@ class RatFun:
         return RatFun(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other: RatFun) -> RatFun:
+        """The product, with no reduction of the full products (module docstring).
+
+        Over z^a and z^b it is num_x num_y / z^(a + b) with the common power of
+        z stripped; otherwise the cross gcds are cancelled first.
+        """
         self._check(other)
         if self.is_zero() or other.is_zero():
             return RatFun.zero(self.n)
         if self.den.is_one() and other.den.is_one():  # two polynomials: canonical
             return RatFun(self.num * other.num, self.den, _canonical=True)
-        return RatFun(self.num * other.num, self.den * other.den)
+        if self.den.is_monomial() and other.den.is_monomial():
+            return RatFun._over_z(self.num * other.num, self.den.degree() + other.den.degree())
+        xn, yd = _cancel(self.num, other.den)
+        yn, xd = _cancel(other.num, self.den)
+        return RatFun(xn * yn, xd * yd, _canonical=True)
+
+    @staticmethod
+    def _over_z(num: Poly, k: int) -> RatFun:
+        """num / z^k in canonical form: the common power of z is the only common factor."""
+        if num.is_zero():
+            return RatFun.zero(num.n)
+        v = min(num.valuation(), k) if k else 0
+        if v:
+            num = num.drop_low(v)
+        return RatFun(num, Poly.one(num.n).shift(k - v), _canonical=True)
+
+    @staticmethod
+    def dot(xs, ys) -> RatFun:
+        """sum_i xs[i] * ys[i], for nonempty xs, with one normalisation.
+
+        Zero terms are skipped and one term is a plain product.  When every
+        denominator is a power of z the numerator products are shifted to the
+        largest exponent, added and stripped once.  Otherwise the numerator
+        products are summed per denominator product; an lcm is taken only
+        when two or more distinct denominator products remain, and the sum
+        is reduced once.  Mixed moduli raise ModulusMismatch from the products.
+        """
+        n = xs[0].n
+        terms = []
+        zero = None
+        for x, y in zip(xs, ys):
+            if not x.num.rows:
+                zero = x
+            elif not y.num.rows:
+                zero = y
+            else:
+                terms.append((x, y))
+        if len(terms) <= 1:
+            return terms[0][0] * terms[0][1] if terms else zero or RatFun.zero(n)
+        exps = []  # z-power exponent of each denominator product
+        for x, y in terms:
+            if not (x.den.is_monomial() and y.den.is_monomial()):
+                break
+            exps.append(len(x.den.rows) + len(y.den.rows) - 2)
+        else:
+            k = max(exps)
+            shifted = [(x.num * y.num, k - e) for (x, y), e in zip(terms, exps)]
+            return RatFun._over_z(Poly._sum(n, shifted), k)
+        groups: dict[Poly, list] = {}
+        for x, y in terms:
+            groups.setdefault(x.den * y.den, []).append((x.num * y.num, 0))
+        if len(groups) == 1:
+            ((den, nums),) = groups.items()
+            return RatFun(Poly._sum(n, nums), den)
+        common = reduce(poly_lcm, groups)
+        sums = [(Poly._sum(n, nums) * common.divexact(den), 0) for den, nums in groups.items()]
+        return RatFun(Poly._sum(n, sums), common)
 
     def inv(self) -> RatFun:
         if self.is_zero():
@@ -628,17 +722,38 @@ class RatFun:
         return f"RatFun({self.num!r} / {self.den!r})"
 
 
+def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num / g and den / g for g = gcd(num, den), den monic.
+
+    g = 1 when either side is constant, and g = z^min(val num, k) when den is
+    z^k, so only the other cases run Euclid.
+    """
+    if num.is_const() or den.is_const():
+        return num, den
+    if den.is_monomial():
+        v = min(num.valuation(), den.degree())
+        return (num.drop_low(v), den.drop_low(v)) if v else (num, den)
+    g = poly_gcd(num, den)
+    if g.degree() > 0:
+        return num.divexact(g), den.divexact(g)
+    return num, den
+
+
 class _MoebiusKernel:
     """Substitution z -> (a z + b)/(c z + d), kept by its map across calls.
 
-    rows[k][i] = (a z + b)^i (c z + d)^(k - i) for i = 0..k, built on demand
-    and kept, so substituting into a polynomial of degree at most k is a
-    linear combination of row k.  A rational function P/Q is substituted
-    with the row of degree max(deg P, deg Q) on both sides, which leaves the
-    result coprime when a d - b c != 0 (see the module docstring).
+    For a general map, rows[k][i] = (a z + b)^i (c z + d)^(k - i) for
+    i = 0..k, built on demand and kept, so substituting into a polynomial of
+    degree at most k is a linear combination of row k.  A rational function
+    P/Q is substituted with the row of degree max(deg P, deg Q) on both
+    sides, which leaves the result coprime when a d - b c != 0 (see the
+    module docstring).  For z -> alpha z (b = c = 0) and z -> nu/z
+    (a = d = 0) the kernel keeps the powers of base = alpha or nu instead and
+    scales coefficients by them (the monomial-map rule in the module
+    docstring); invert tells the two apart.
     """
 
-    __slots__ = ("n", "lin_num", "lin_den", "rows")
+    __slots__ = ("n", "lin_num", "lin_den", "rows", "base", "invert", "up", "down")
 
     def __init__(self, mob, n: int):
         ctx = _context(n)
@@ -647,9 +762,23 @@ class _MoebiusKernel:
         if [x * b.den * c.den for x in ad] == [y * a.den * d.den for y in bc]:
             raise MalformedInput("Moebius map with zero determinant")
         self.n = n
-        self.lin_num = Poly(n, [b, a])
-        self.lin_den = Poly(n, [d, c])
-        self.rows = [[Poly.one(n)]]
+        self.base = None
+        # alpha = a/d = a^2/(a d) and nu = b/c = -b^2/(-b c), with inverses
+        # d^2/(a d) and -c^2/(-b c): one inverse of the determinant, none in SL(2).
+        if b.is_zero() and c.is_zero():
+            det, self.base, inverse, self.invert = a * d, a * a, d * d, False
+        elif a.is_zero() and d.is_zero():
+            det, self.base, inverse, self.invert = -(b * c), -(b * b), -(c * c), True
+        if self.base is None:
+            self.lin_num = Poly(n, [b, a])
+            self.lin_den = Poly(n, [d, c])
+            self.rows = [[Poly.one(n)]]
+            return
+        if not det.is_one():
+            r = det.inv()
+            self.base, inverse = self.base * r, inverse * r
+        one = CycNum.one(n)
+        self.up, self.down = [one, self.base], [one, inverse]
 
     def _row(self, k: int) -> list[Poly]:
         rows = self.rows
@@ -657,6 +786,14 @@ class _MoebiusKernel:
             last = rows[-1]
             rows.append([p * self.lin_den for p in last] + [last[-1] * self.lin_num])
         return rows[k]
+
+    def _power(self, e: int) -> CycNum:
+        """base^e for any integer e, from the powers kept so far."""
+        pows = self.up if e >= 0 else self.down
+        e = abs(e)
+        while len(pows) <= e:
+            pows.append(pows[-1] * pows[1])
+        return pows[e]
 
     def _substitute(self, p: Poly, row: list[Poly]) -> Poly:
         """sum_i p_i row[i], summed over the lcm of the denominators of the row polynomials."""
@@ -679,13 +816,35 @@ class _MoebiusKernel:
                             out[k + l] += x * y
         return Poly._normal(self.n, [_fold(ctx, w) for w in acc], p.den * den)
 
+    def _scale(self, p: Poly, shift: int, k: Optional[int]) -> Poly:
+        """sum_i p_i base^(i - shift) z^i, or with z^(k - i) in place of z^i when k is given."""
+        ctx = _context(self.n)
+        scaled = []
+        for i, r in enumerate(p.rows):
+            if any(r):
+                w = self._power(i - shift)
+                scaled.append((_vec_mul(ctx, r, w.num), w.den))
+            else:
+                scaled.append((r, 1))
+        den = lcm(*(d for _, d in scaled))
+        rows = [v if d == den else [x * (den // d) for x in v] for v, d in scaled]
+        if k is not None:
+            rows = [(0,) * ctx.phi] * (k + 1 - len(rows)) + rows[::-1]
+        return Poly._normal(self.n, rows, p.den * den)
+
     def apply(self, f: RatFun) -> RatFun:
         k = max(f.num.degree(), f.den.degree())
         if k <= 0:  # zero or constant
             return f
-        row = self._row(k)
-        num = self._substitute(f.num, row)
-        den = self._substitute(f.den, row)
+        if self.base is None:
+            row = self._row(k)
+            num, den = self._substitute(f.num, row), self._substitute(f.den, row)
+        elif self.invert:
+            v = f.den.valuation()
+            num, den = self._scale(f.num, v, k), self._scale(f.den, v, k)
+        else:
+            m = f.den.degree()
+            num, den = self._scale(f.num, m, None), self._scale(f.den, m, None)
         if not den.is_monic():
             inv = den.lead().inv()
             num, den = num.scale(inv), den.scale(inv)

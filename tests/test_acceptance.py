@@ -80,6 +80,19 @@ def test_criterion_3_round_trip(roundtrip_report):
     assert ok
 
 
+POLYHEDRAL_CASES = 20
+
+
+@pytest.mark.parametrize("family", ["binary_tetrahedral", "binary_octahedral", "binary_icosahedral"])
+def test_polyhedral_round_trip(family):
+    # Criterion 3's round trip over the binary polyhedral groups: the first
+    # 20 seed-1 cases of each family, every check of every row.
+    report = suite_roundtrip(1, cases=POLYHEDRAL_CASES, families=((family, None),))
+    assert len(report["cases"]) == POLYHEDRAL_CASES
+    _announce(f"3 canonical-form round trip, {family} ({POLYHEDRAL_CASES} cases)", report["pass"])
+    assert report["pass"]
+
+
 def test_criterion_4_averaging_certificates(roundtrip_report):
     rows = roundtrip_report["cases"]
     ok = all(row["checks"]["averaging_verified"] for row in rows)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -10,7 +11,7 @@ from equibundle import ratfun
 from equibundle.cyclotomic import CycNum
 from equibundle.errors import DivisionByZero, MalformedInput, SingularMatrix
 from equibundle.linalg import mat_inv
-from equibundle.matgroup import catalog
+from equibundle.matgroup import SL2Elem, catalog
 from equibundle.moebius import MoebiusMap
 from equibundle.ratfun import (
     Poly,
@@ -392,11 +393,9 @@ def assert_canonical(p: Poly) -> None:
     assert hash(rebuilt) == hash(p)
 
 
-@pytest.mark.parametrize("n", [3, 4, 12, 20])
-def test_poly_ops_match_sympy(n):
-    # Independent oracle for polynomial arithmetic: sympy's polynomial ring over
-    # QQ(exp(2 pi i / n)), whose power basis is that of CycNum.  Each result
-    # must also be canonical: rebuilding it from its coefficients changes nothing.
+def _sympy_cyclotomic(n: int):
+    """sympy's polynomial ring over QQ(exp(2 pi i / n)), whose power basis is that of
+    CycNum, with the images of a CycNum (scalar) and of a Poly (ref) in it."""
     sp = pytest.importorskip("sympy")
 
     field = sp.QQ.algebraic_field(sp.exp(2 * sp.pi * sp.I / n))
@@ -407,6 +406,16 @@ def test_poly_ops_match_sympy(n):
 
     def ref(p: Poly):
         return ring.from_list([scalar(c) for c in reversed(p.coeffs)])
+
+    return ring, zs, scalar, ref
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 20])
+def test_poly_ops_match_sympy(n):
+    # Independent oracle for polynomial arithmetic: sympy's polynomial ring over
+    # QQ(exp(2 pi i / n)).  Each result must also be canonical: rebuilding it
+    # from its coefficients changes nothing.
+    ring, zs, scalar, ref = _sympy_cyclotomic(n)
 
     def check(got: Poly, want) -> None:
         assert Poly(n, got.coeffs) == got
@@ -432,6 +441,91 @@ def test_poly_ops_match_sympy(n):
             check(r, want_r)
         if not (a.is_zero() and b.is_zero()):
             check(poly_gcd(a, b), ra.gcd(rb).monic())
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 20])
+def test_rational_ops_match_sympy(n):
+    # Independent oracle for the z-power, cross-gcd and grouped paths of RatFun
+    # products, sums and RatFun.dot, for CycNum.dot and for substitution by
+    # diagonal, antidiagonal and general maps, over Q(zeta_n), where alpha and
+    # nu are not rational.  A rational function is a (numerator, denominator)
+    # pair over sympy's ring, compared by cross-multiplication; every result
+    # must also be canonical: rebuilding RatFun(num, den) changes nothing.
+    ring, zs, scalar, ref = _sympy_cyclotomic(n)
+    rng = random.Random(503 + n)
+    one, zeta = CycNum.one(n), CycNum.zeta(n)
+    lin = Poly(n, [one, zeta])  # zeta z + 1
+    z_minus_zeta, z_minus_two = Poly(n, [-zeta, one]), Poly(n, [CycNum.from_int(n, -2), one])
+    dens = [Poly.x(n) ** 2, lin, lin**2, z_minus_zeta * Poly.x(n), lin * z_minus_two]
+
+    def entry() -> RatFun:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return RatFun.zero(n)
+        num = Poly(n, [rand_cyc_over(rng, n) for _ in range(rng.randint(1, 3))])
+        if rng.random() < 0.4:
+            num = num * (lin if rng.random() < 0.5 else Poly.x(n))
+        return RatFun(num, Poly.one(n) if kind == 1 else rng.choice(dens))
+
+    def pair(f: RatFun):
+        return ref(f.num), ref(f.den)
+
+    def mul(p, q):
+        return p[0] * q[0], p[1] * q[1]
+
+    def add(p, q):
+        return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
+
+    def check(got: RatFun, want) -> None:
+        assert RatFun(got.num, got.den) == got
+        assert ref(got.num) * want[1] == want[0] * ref(got.den)
+
+    fs = [entry() for _ in range(10)]
+    # Cross gcds that cancel: lin against lin^2, z against z^2 (x, y) and (y, x).
+    fs += [RatFun(lin * Poly(n, [zeta]), dens[3]), RatFun(Poly.x(n), dens[2]), RatFun(lin, dens[0])]
+    for f in fs:
+        for g in fs:
+            check(f * g, mul(pair(f), pair(g)))
+            check(f + g, add(pair(f), pair(g)))
+            check(f - g, add(pair(f), (-ref(g.num), ref(g.den))))
+    a = RatMat([[entry() for _ in range(3)] for _ in range(2)])
+    b = RatMat([[entry() for _ in range(2)] for _ in range(3)])
+    for row, got_row in zip(a.entries, (a * b).entries):
+        for col, got in zip(zip(*b.entries), got_row):
+            want = (ring(0), ring(1))
+            for x, y in zip(row, col):
+                want = add(want, mul(pair(x), pair(y)))
+            check(got, want)
+            assert RatFun.dot(row, col) == got
+    for _ in range(10):
+        xs = [rand_cyc_over(rng, n) if rng.random() < 0.7 else CycNum.zero(n) for _ in range(4)]
+        ys = [rand_cyc_over(rng, n) for _ in range(4)]
+        want = sum((scalar(x) * scalar(y) for x, y in zip(xs, ys)), scalar(CycNum.zero(n)))
+        assert scalar(CycNum.dot(xs, ys)) == want
+    two, three = CycNum.from_int(n, 2), CycNum.from_int(n, 3)
+    maps = [
+        SL2Elem.diag(zeta),
+        SL2Elem(CycNum.zero(n), zeta, -zeta.inv(), CycNum.zero(n)),
+        SL2Elem(one, zeta, zeta.inv(), two),
+        Mob(two * zeta, CycNum.zero(n), CycNum.zero(n), three),
+        Mob(CycNum.zero(n), zeta, three, CycNum.zero(n)),
+    ]
+    m = RatMat([fs[0:4], fs[4:8], fs[8:12]])
+    for g in maps:
+        w = (scalar(g.a) * zs + scalar(g.b), scalar(g.c) * zs + scalar(g.d))
+
+        def at(p: Poly):
+            acc = (ring(0), ring(1))
+            for c in reversed(p.coeffs):
+                acc = add(mul(acc, w), (ring(scalar(c)), ring(1)))
+            return acc
+
+        mob = MoebiusMap(g) if isinstance(g, SL2Elem) else g
+        image = m.compose_moebius(mob)
+        for f, got in zip(chain.from_iterable(m.entries), chain.from_iterable(image.entries)):
+            top, bottom = at(f.num), at(f.den)
+            check(got, (top[0] * bottom[1], top[1] * bottom[0]))
+            assert f.compose_moebius(mob) == got
 
 
 def test_poly_results_are_canonical():
@@ -490,3 +584,122 @@ def test_poly_products_build_no_cycnum(monkeypatch):
     polys[0] * polys[1]
     a * b
     assert calls == []
+
+
+def _count_calls(monkeypatch, owner, name: str, calls: list, static: bool = False) -> None:
+    """Record every call of owner.name in calls, then run the original."""
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, staticmethod(counting) if static else counting)
+
+
+def rand_cyc_over(rng: random.Random, n: int) -> CycNum:
+    phi = len(CycNum.one(n).num)
+    return CycNum(n, [rng.randint(-2, 2) for _ in range(phi)], rng.randint(1, 2))
+
+
+def _over_linear(rng: random.Random, n: int, lin: Poly) -> RatFun:
+    """A random polynomial over a power of lin (not a power of z)."""
+    num = Poly(n, [rand_cyc_over(rng, n) for _ in range(rng.randint(1, 3))])
+    return RatFun(num, lin ** rng.randint(1, 2))
+
+
+def _laurent(rng: random.Random, n: int) -> RatFun:
+    coeffs = [rand_cyc_over(rng, n) for _ in range(rng.randint(1, 3))]
+    return RatFun.from_laurent(n, rng.randint(-3, 1), coeffs)
+
+
+def test_product_reduces_once_per_entry(monkeypatch):
+    # Entries over powers of two linear forms and of z, so output entries sum
+    # terms over one, two or more distinct denominator products: each output
+    # entry of the product makes at most one reduction.
+    rng = random.Random(61)
+    lins = [Poly(N, [cyc(1), CycNum.zeta(N)]), Poly(N, [cyc(-2), cyc(1)])]
+    a = RatMat(
+        [
+            [_over_linear(rng, N, lins[(i + j) % 2]) if (i + j) % 3 else _laurent(rng, N) for j in range(3)]
+            for i in range(3)
+        ]
+    )
+    b = RatMat([[_over_linear(rng, N, lins[i % 2]) for _ in range(3)] for i in range(3)])
+    want = [[sum((x * y for x, y in zip(row, col)), RatFun.zero(N)) for col in zip(*b.entries)] for row in a.entries]
+    calls = []
+    _count_calls(monkeypatch, RatFun, "_reduce", calls, static=True)
+    got = a * b
+    assert len(calls) <= 9
+    assert got == RatMat(want)
+    calls.clear()
+    got_vec = a.mul_vector([row[0] for row in b.entries])
+    assert len(calls) <= 3
+    assert got_vec == [row[0] for row in want]
+
+
+def test_laurent_arithmetic_runs_no_gcd(monkeypatch):
+    # Denominators that are powers of z add and multiply by shifts: no
+    # reduction and no polynomial gcd, for RatFun and RatMat alike.
+    rng = random.Random(67)
+    fs = [_laurent(rng, N) for _ in range(8)] + [RatFun.from_poly(rand_poly(rng)) for _ in range(2)]
+    a = RatMat([fs[0:3], fs[3:6], fs[6:9]])
+    b = RatMat([fs[1:4], fs[5:8], fs[7:10]])
+    calls = []
+    _count_calls(monkeypatch, RatFun, "_reduce", calls, static=True)
+    _count_calls(monkeypatch, ratfun, "poly_gcd", calls)
+    results = [op(f, g) for f in fs for g in fs for op in (RatFun.__mul__, RatFun.__add__, RatFun.__sub__)]
+    product = a * b
+    assert calls == []
+    for f in results + [e for row in product.entries for e in row]:
+        assert f.is_laurent()
+        assert RatFun(f.num, f.den) == f
+    monkeypatch.undo()
+    for f in fs:
+        for g in fs:
+            # Cross-multiplied against the unreduced forms.
+            assert (f * g).num * (f.den * g.den) == (f.num * g.num) * (f * g).den
+            s = f + g
+            assert s.num * (f.den * g.den) == (f.num * g.den + g.num * f.den) * s.den
+
+
+def test_monomial_maps_substitute_by_scaling(monkeypatch):
+    # z -> alpha z and z -> nu / z scale coefficients by powers of one field
+    # element: composing polynomial and Laurent entries by a diagonal and an
+    # antidiagonal element of SL(2) forms no power row and inverts nothing.
+    group = catalog("binary_dihedral", 3).group()
+    n = group.n
+    diag = next(g for g in group.elements if g.c.is_zero() and not g.a.is_rational())
+    anti = next(g for g in group.elements if g.a.is_zero() and not g.c.is_rational())
+    rng = random.Random(71)
+    poly = RatFun.from_poly(Poly(n, [rand_cyc_over(rng, n) for _ in range(3)]))
+    laurent = [_laurent(rng, n) for _ in range(6)]
+    m = RatMat([laurent[0:3], laurent[3:6], [poly, RatFun.one(n), RatFun.zero(n)]])
+    maps = {g: MoebiusMap(g) for g in (diag, anti)}
+    calls = []
+    _count_calls(monkeypatch, ratfun._MoebiusKernel, "_row", calls)
+    _count_calls(monkeypatch, CycNum, "inv", calls)
+    images = {g: m.compose_moebius(maps[g]) for g in (diag, anti)}
+    assert calls == []
+    monkeypatch.undo()
+    for g, image in images.items():
+        for f, got in zip(chain.from_iterable(m.entries), chain.from_iterable(image.entries)):
+            assert RatFun(got.num, got.den) == got
+            assert got == _general_compose(f, g)
+        # Composition respects the group law: (f o g) o h = f o (g h).
+        h = anti if g is diag else diag
+        assert image.compose_moebius(MoebiusMap(h)) == m.compose_moebius(MoebiusMap(g * h))
+
+
+def _general_compose(f: RatFun, mob) -> RatFun:
+    """f((a z + b)/(c z + d)) by field arithmetic, reduced from scratch."""
+    n = f.n
+    w = RatFun(Poly(n, [mob.b, mob.a]), Poly(n, [mob.d, mob.c]))
+
+    def at(p: Poly) -> RatFun:
+        acc = RatFun.zero(n)
+        for c in reversed(p.coeffs):
+            acc = acc * w + RatFun.const(c)
+        return acc
+
+    return at(f.num) / at(f.den)
