@@ -3,13 +3,14 @@
 Everything here is deterministic in the supplied random.Random, which is how
 the verification suites achieve byte-identical reruns.  Planted cocycles are
 unimodular dressings of known diagonals; random modules are assembled from
-exactly-known building blocks (characters found by brute force, the defining
+exactly-known building blocks (characters found by exponent arithmetic, the defining
 2-dimensional representation, its symmetric square) and random conjugation.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import gcd, lcm
 from typing import Optional
 
@@ -118,52 +119,37 @@ def planted_cocycle(
 # Module building blocks
 
 
-def _roots_of_order_dividing(n: int, m: int) -> list[CycNum]:
-    """Roots of unity in Q(zeta_n) whose order divides m, deterministically ordered.
-
-    The roots of unity of Q(zeta_n) form the cyclic group of order lcm(2, n);
-    for odd n a generator is -zeta_n^((n+1)/2), whose square is zeta_n.
-    """
-    big = lcm(2, n)
-    if n % 2 == 0:
-        base = CycNum.zeta(n, 1)
-    else:
-        base = CycNum.from_int(n, -1) * CycNum.zeta(n, (n + 1) // 2)
-    out = []
-    for k in range(big):
-        order = big // gcd(big, k) if k else 1
-        if m % order == 0:
-            out.append(base ** k)
-    seen: list[CycNum] = []
-    for v in out:
-        if not any(v == s for s in seen):
-            seen.append(v)
-    return seen
-
-
 def one_dim_reps(group) -> list[Representation]:
-    """All 1-dimensional representations with values in the ambient field."""
-    n = group.n
-    cands_per_gen = []
-    for gi in group.generator_indices:
-        order = group.element_order(gi)
-        cands_per_gen.append(_roots_of_order_dividing(n, order))
+    """All 1-dimensional representations with values in the ambient field.
+
+    The roots of unity of Q(zeta_n) form the cyclic group of order
+    L = lcm(2, n); a generator is zeta_n for even n and -zeta_n^((n+1)/2),
+    whose square is zeta_n, for odd n.  A character is therefore one
+    exponent e[x] mod L per element.  Each candidate gives generator t an
+    exponent k_t whose root has order dividing that of the generator (k_t
+    increasing, the last generator fastest), is extended along the spanning
+    tree and is kept when e[x] + k_t = e[x g_t] (mod L) for every element x
+    and generator t: the multiplication-table check of Representation on
+    the images base^e.  Only the characters kept are built.
+    """
+    n, gens = group.n, group.generator_indices
+    big = lcm(2, n)
+    cands = [
+        [k for k in range(big) if group.element_order(gi) % (big // gcd(big, k)) == 0]
+        for gi in gens
+    ]
+    base = CycNum.zeta(n, 1) if n % 2 == 0 else -CycNum.zeta(n, (n + 1) // 2)
+    pows = [CycNum.one(n)]
+    for _ in range(big - 1):
+        pows.append(pows[-1] * base)
     out = []
-
-    def rec(t: int, chosen: list[CycNum]) -> None:
-        if t == len(cands_per_gen):
-            try:
-                rep = Representation.from_generator_images(
-                    group, 1, [[[c]] for c in chosen]
-                )
-            except MathRejection:
-                return
-            out.append(rep)
-            return
-        for c in cands_per_gen[t]:
-            rec(t + 1, chosen + [c])
-
-    rec(0, [])
+    for ks in product(*cands):
+        by_gen = dict(zip(gens, ks))  # a generator listed twice takes its last exponent
+        e = group.extend(0, lambda prev, t: (prev + by_gen[gens[t]]) % big)
+        steps = by_gen.items()
+        if any((ex + k - e[group.mul(x, gi)]) % big for x, ex in enumerate(e) for gi, k in steps):
+            continue
+        out.append(Representation(group, 1, [[[pows[x]]] for x in e], check=False))
     return out
 
 

@@ -46,7 +46,9 @@ rule when the kernel is built):
   the inverse of Q_v remains; Q_v = 1 for polynomial and Laurent entries.
 
 These are the kernel's own P~ and Q~ divided by a constant, so they are
-coprime by the argument above.
+coprime by the argument above.  For an entry over Q = z^m (m = 0 for a
+polynomial) only the numerator is scaled: the rules give Q~ = z^m under
+z -> alpha z and Q~ = z^(k - m) under z -> nu/z, monic as built.
 
 Laurent data needs no gcd either.  A canonical denominator is monic, so a
 monomial denominator is exactly z^k, and the only monic divisors of z^k are
@@ -152,19 +154,31 @@ class Poly:
         return Poly._raw(n, tuple(map(tuple, rows)), den)
 
     @staticmethod
-    def _sum(n: int, terms) -> Poly:
-        """sum of p z^s over the (p, s) in terms, over the lcm of their denominators.
+    def _dot(n: int, terms) -> Poly:
+        """sum of p q z^s over the (p, q, s) in terms, over the lcm of the products p.den q.den.
 
-        One pass over the integer rows and one normalisation, however many
-        terms there are.
+        One integer convolution in z and zeta of all terms into one
+        accumulator, then one reduction mod Phi_N per output coefficient and
+        one normalisation, however many terms there are.  The moduli are not
+        checked here.
         """
-        den = lcm(*(p.den for p, _ in terms))
-        acc = [(0,) * _context(n).phi] * max(len(p.rows) + s for p, s in terms)
-        for p, s in terms:
-            f = den // p.den
+        den, size = 1, 0
+        for p, q, s in terms:
+            den = lcm(den, p.den * q.den)
+            size = max(size, len(p.rows) + len(q.rows) + s)
+        ctx = _context(n)
+        acc = [[0] * (2 * ctx.phi - 1) for _ in range(size - 1)]
+        for p, q, s in terms:
+            f = den // (p.den * q.den)
             for i, r in enumerate(p.rows, s):
-                acc[i] = [a + x * f for a, x in zip(acc[i], r)]
-        return Poly._normal(n, acc, den)
+                xs = [(k, x * f) for k, x in enumerate(r) if x]
+                if xs:
+                    for out, row in zip(acc[i:] if i else acc, q.rows):
+                        for l, y in enumerate(row):
+                            if y:
+                                for k, x in xs:
+                                    out[k + l] += x * y
+        return Poly._normal(n, [_fold(ctx, w) for w in acc], den)
 
     # -- constructors -------------------------------------------------
 
@@ -283,10 +297,7 @@ class Poly:
         return Poly._raw(self.n, tuple(tuple(-x for x in r) for r in self.rows), self.den)
 
     def __mul__(self, other: Poly) -> Poly:
-        """Bivariate integer convolution in z and zeta, one reduction per coefficient.
-
-        A one-coefficient operand scales the rows of the other instead.
-        """
+        """The product by Poly._dot; a one-coefficient operand scales the rows of the other instead."""
         self._check(other)
         a, b = self.rows, other.rows
         if not a or not b:
@@ -295,17 +306,7 @@ class Poly:
             return other._scaled(a[0], self.den)
         if len(b) == 1:
             return self._scaled(b[0], other.den)
-        ctx = _context(self.n)
-        acc = [[0] * (2 * ctx.phi - 1) for _ in range(len(a) + len(b) - 1)]
-        b_terms = [[(l, y) for l, y in enumerate(r) if y] for r in b]
-        for i, r in enumerate(a):
-            window = acc[i:]
-            for k, x in enumerate(r):
-                if x:
-                    for out, terms in zip(window, b_terms):
-                        for l, y in terms:
-                            out[k + l] += x * y
-        return Poly._normal(self.n, [_fold(ctx, w) for w in acc], self.den * other.den)
+        return Poly._dot(self.n, [(self, other, 0)])
 
     def _scaled(self, vec, den: int) -> Poly:
         """self * (vec / den) for one power-basis vector vec.
@@ -634,25 +635,34 @@ class RatFun:
     def dot(xs, ys) -> RatFun:
         """sum_i xs[i] * ys[i], for nonempty xs, with one normalisation.
 
-        Zero terms are skipped and one term is a plain product.  When every
-        denominator is a power of z the numerator products are shifted to the
-        largest exponent, added and stripped once.  Otherwise the numerator
-        products are summed per denominator product; an lcm is taken only
-        when two or more distinct denominator products remain, and the sum
-        is reduced once.  Mixed moduli raise ModulusMismatch from the products.
+        Zero terms are skipped, and a single term with a factor 1 is the
+        other factor.  When every denominator is a power of z the
+        numerator products are shifted to the largest exponent and summed by
+        one Poly._dot, then stripped once.  Otherwise one term is a plain
+        product, and more are summed per denominator product; an lcm is
+        taken only when two or more distinct denominator products remain,
+        and the sum is reduced once.  Mixed moduli raise ModulusMismatch.
         """
         n = xs[0].n
         terms = []
         zero = None
         for x, y in zip(xs, ys):
+            if x.n != n or y.n != n:
+                raise ModulusMismatch(f"mixed moduli {x.n} and {y.n}")
             if not x.num.rows:
                 zero = x
             elif not y.num.rows:
                 zero = y
             else:
                 terms.append((x, y))
-        if len(terms) <= 1:
-            return terms[0][0] * terms[0][1] if terms else zero or RatFun.zero(n)
+        if not terms:
+            return zero or RatFun.zero(n)
+        if len(terms) == 1:  # a factor 1, as from an elementary or identity matrix, leaves the other as it is
+            x, y = terms[0]
+            if x.is_one():
+                return y
+            if y.is_one():
+                return x
         exps = []  # z-power exponent of each denominator product
         for x, y in terms:
             if not (x.den.is_monomial() and y.den.is_monomial()):
@@ -660,17 +670,19 @@ class RatFun:
             exps.append(len(x.den.rows) + len(y.den.rows) - 2)
         else:
             k = max(exps)
-            shifted = [(x.num * y.num, k - e) for (x, y), e in zip(terms, exps)]
-            return RatFun._over_z(Poly._sum(n, shifted), k)
+            shifted = [(x.num, y.num, k - e) for (x, y), e in zip(terms, exps)]
+            return RatFun._over_z(Poly._dot(n, shifted), k)
+        if len(terms) == 1:
+            return terms[0][0] * terms[0][1]
         groups: dict[Poly, list] = {}
         for x, y in terms:
-            groups.setdefault(x.den * y.den, []).append((x.num * y.num, 0))
+            groups.setdefault(x.den * y.den, []).append((x.num, y.num, 0))
         if len(groups) == 1:
             ((den, nums),) = groups.items()
-            return RatFun(Poly._sum(n, nums), den)
+            return RatFun(Poly._dot(n, nums), den)
         common = reduce(poly_lcm, groups)
-        sums = [(Poly._sum(n, nums) * common.divexact(den), 0) for den, nums in groups.items()]
-        return RatFun(Poly._sum(n, sums), common)
+        sums = [(Poly._dot(n, nums), common.divexact(den), 0) for den, nums in groups.items()]
+        return RatFun(Poly._dot(n, sums), common)
 
     def inv(self) -> RatFun:
         if self.is_zero():
@@ -839,6 +851,11 @@ class _MoebiusKernel:
         if self.base is None:
             row = self._row(k)
             num, den = self._substitute(f.num, row), self._substitute(f.den, row)
+        elif f.den.is_monomial():  # over z^m: the denominator is built, not scaled
+            m = f.den.degree()
+            if self.invert:
+                return RatFun(self._scale(f.num, m, k), Poly.one(self.n).shift(k - m), _canonical=True)
+            return RatFun(self._scale(f.num, m, None), f.den, _canonical=True)
         elif self.invert:
             v = f.den.valuation()
             num, den = self._scale(f.num, v, k), self._scale(f.den, v, k)
@@ -907,6 +924,14 @@ class RatMat:
         self.rows = len(entries)
         self.cols = cols
         self.entries = entries
+
+    @staticmethod
+    def _raw(n: int, entries) -> RatMat:
+        """A matrix from nonempty rows of equal length whose entries all have modulus n."""
+        m = object.__new__(RatMat)
+        m.entries = tuple(map(tuple, entries))
+        m.n, m.rows, m.cols = n, len(m.entries), len(m.entries[0])
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -977,7 +1002,7 @@ class RatMat:
             raise DimensionMismatch(
                 f"matrix product shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        return RatMat(mat_mul(self.entries, other.entries))
+        return RatMat._raw(self.n, mat_mul(self.entries, other.entries))
 
     def mul_vector(self, vec: list[RatFun]) -> list[RatFun]:
         if self.cols != len(vec):
@@ -993,15 +1018,19 @@ class RatMat:
 
     def _det_bareiss(self) -> RatFun:
         # Clear each row to polynomials, run fraction-free elimination, divide at the end.
+        # A row of Laurent entries is cleared by z^(largest exponent), with shifts.
         n = self.n
         scale = Poly.one(n)
         mat: list[list[Poly]] = []
         for row in self.entries:
-            den = Poly.one(n)
-            for entry in row:
-                den = poly_lcm(den, entry.den)
-            mat.append([entry.num * den.divexact(entry.den) for entry in row])
-            scale = scale * den
+            if all(entry.den.is_monomial() for entry in row):
+                k = max(entry.den.degree() for entry in row)
+                mat.append([entry.num.shift(k - entry.den.degree()) for entry in row])
+                scale = scale.shift(k)
+            else:
+                den = reduce(poly_lcm, (entry.den for entry in row))
+                mat.append([entry.num * den.divexact(entry.den) for entry in row])
+                scale = scale * den
         size = self.rows
         sign = 1
         prev = Poly.one(n)
@@ -1036,7 +1065,7 @@ class RatMat:
         without a gcd, as in RatFun.compose_moebius.
         """
         kernel = _kernel_of(mob, self.n)
-        return RatMat([[kernel.apply(e) for e in row] for row in self.entries])
+        return RatMat._raw(self.n, [[kernel.apply(e) for e in row] for row in self.entries])
 
     def eval(self, point: CycNum) -> list[list[CycNum]]:
         return [[e.eval(point) for e in row] for row in self.entries]

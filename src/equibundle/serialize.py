@@ -140,7 +140,9 @@ def _scalar_from_json(data: Any) -> tuple[int, list[int], int]:
     _expect(isinstance(data, dict) and "coeffs" in data, "bad scalar")
     n = _int_field(data, "modulus")
     coeffs = data["coeffs"]
-    _expect(isinstance(coeffs, list) and len(coeffs) == euler_phi(n), "bad coefficient count")
+    # phi(n) >= sqrt(n / 2), so a short list refutes a large modulus before it is factored.
+    _expect(isinstance(coeffs, list) and 2 * len(coeffs) ** 2 >= n, "bad coefficient count")
+    _expect(len(coeffs) == euler_phi(n), "bad coefficient count")
     nums, dens = [], []
     den = 1
     for pair in coeffs:

@@ -176,7 +176,7 @@ def suite_roundtrip(seed: int, cases: int = 100, families=ROUND_TRIP_FAMILIES) -
     rows = []
     for family, param in families:
         group = catalog(family, param).group()
-        label = f"{family}_{param}"
+        label = family if param is None else f"{family}_{param}"
         for case in range(cases):
             row = {"group": label, "case": case}
             row.update(_roundtrip_case(rng, group))

@@ -7,9 +7,40 @@ using character orthogonality, so orthogonality can be *tested* against it.
 
 from __future__ import annotations
 
+from itertools import product
+from math import gcd, lcm
+
 from equibundle.cyclotomic import CycNum
+from equibundle.errors import MathRejection
 from equibundle.linalg import mat_vec, nullspace
 from equibundle.matgroup import CharacterVector, Representation, SL2Elem
+
+
+def brute_force_one_dim_reps(group) -> list[Representation]:
+    """Every 1-dimensional representation, by trying each tuple of generator images.
+
+    The roots of unity of Q(zeta_n) are the powers base^k, k = 0..L-1, of
+    one root base of order L = lcm(2, n).  Each generator takes every such
+    power whose order divides the generator's, k increasing, the first
+    generator slowest.  A tuple is kept when
+    Representation.from_generator_images, which extends it in CycNum
+    matrices and verifies the full table, accepts it.
+    """
+    n = group.n
+    big = lcm(2, n)
+    base = CycNum.zeta(n, 1) if n % 2 == 0 else CycNum.from_int(n, -1) * CycNum.zeta(n, (n + 1) // 2)
+    roots = [base**k for k in range(big)]
+    cands = [
+        [roots[k] for k in range(big) if group.element_order(gi) % (big // gcd(big, k)) == 0]
+        for gi in group.generator_indices
+    ]
+    out = []
+    for chosen in product(*cands):
+        try:
+            out.append(Representation.from_generator_images(group, 1, [[[c]] for c in chosen]))
+        except MathRejection:
+            continue
+    return out
 
 
 def _eigenspace(mat, lam: CycNum):

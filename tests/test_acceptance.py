@@ -89,6 +89,7 @@ def test_polyhedral_round_trip(family):
     # 20 seed-1 cases of each family, every check of every row.
     report = suite_roundtrip(1, cases=POLYHEDRAL_CASES, families=((family, None),))
     assert len(report["cases"]) == POLYHEDRAL_CASES
+    assert {row["group"] for row in report["cases"]} == {family}  # no parameter, no suffix
     _announce(f"3 canonical-form round trip, {family} ({POLYHEDRAL_CASES} cases)", report["pass"])
     assert report["pass"]
 

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 from equibundle import serialize
 from equibundle.bundle import TransitionCocycle
@@ -219,6 +220,36 @@ def test_malformed_input_exit_code(tmp_path, capsys):
         code, report = run_cli(capsys, "sections", "--input", str(path))
         assert code == 2
         assert report["error"] == "malformed_input"
+
+
+def test_huge_modulus_rejected_before_factoring(tmp_path, capsys):
+    # A scalar lists phi(n) >= sqrt(n / 2) coefficients, so a Mersenne-prime
+    # modulus with two coefficients is refused at once, not trial-divided.
+    def with_modulus(obj, n):
+        if isinstance(obj, dict):
+            return {k: n if k == "modulus" else with_modulus(v, n) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [with_modulus(v, n) for v in obj]
+        return obj
+
+    good = serialize.cocycle_to_json(TransitionCocycle(1, RatMat([[RatFun.one(4)]])))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(with_modulus(good, str(2**61 - 1))))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "equibundle.cli", "split", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert fresh.returncode == 2
+    assert json.loads(fresh.stdout)["error"] == "malformed_input"
+    assert "Traceback" not in fresh.stderr
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "split", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert report["error"] == "malformed_input"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_main_calls_share_one_parser(tmp_path, capsys):

@@ -24,6 +24,7 @@ from equibundle.equivariant import (
     validate_equivariance,
 )
 from equibundle.errors import InvalidStructure, MathRejection
+from equibundle.extensions import pgl_group
 from equibundle.matgroup import (
     SL2Elem,
     catalog,
@@ -41,6 +42,7 @@ from equibundle.plant import (
     random_retrivialization,
 )
 from equibundle.ratfun import Poly, RatFun, RatMat
+from oracles import brute_force_one_dim_reps
 
 
 def c4_group():
@@ -438,6 +440,34 @@ def test_equiv_isomorphic_positive_and_negative():
         assert equiv_isomorphic(b1, other)
     else:
         assert not equiv_isomorphic(b1, other)
+
+
+_CHARACTER_GROUPS = (
+    [("cyclic", m) for m in range(2, 7)]
+    + [("binary_dihedral", m) for m in (2, 3, 4)]
+    + [(family, None) for family in ("binary_tetrahedral", "binary_octahedral", "binary_icosahedral")]
+)
+
+
+@pytest.mark.parametrize("family, param", _CHARACTER_GROUPS)
+def test_one_dim_reps_match_brute_force(family, param):
+    # Exponent arithmetic finds the characters that trying every tuple of
+    # generator images finds, in the same order and with the same images,
+    # over the group, its image in PGL(2) and that image's preimage.
+    g = catalog(family, param).group()
+    h = pgl_group([g.elements[i] for i in g.generator_indices])
+    for group in (g, h, h.preimage):
+        got, want = one_dim_reps(group), brute_force_one_dim_reps(group)
+        assert [r.images for r in got] == [r.images for r in want]
+
+
+def test_one_dim_reps_with_redundant_generators():
+    # A generator listed twice, and one that is a product of the others.
+    a = SL2Elem.diag(CycNum.zeta(12))
+    for gens in ([a, a], [a, a * a], [a * a, a, a * a * a]):
+        group = generate_group(gens)
+        got, want = one_dim_reps(group), brute_force_one_dim_reps(group)
+        assert [r.images for r in got] == [r.images for r in want]
 
 
 def test_classify_rejects_invalid_action():

@@ -9,7 +9,7 @@ import pytest
 
 from equibundle import ratfun
 from equibundle.cyclotomic import CycNum
-from equibundle.errors import DivisionByZero, MalformedInput, SingularMatrix
+from equibundle.errors import DivisionByZero, MalformedInput, ModulusMismatch, SingularMatrix
 from equibundle.linalg import mat_inv
 from equibundle.matgroup import SL2Elem, catalog
 from equibundle.moebius import MoebiusMap
@@ -497,6 +497,20 @@ def test_rational_ops_match_sympy(n):
                 want = add(want, mul(pair(x), pair(y)))
             check(got, want)
             assert RatFun.dot(row, col) == got
+    phi = len(one.num)
+    for size in (3, 4, 5):
+        # Laurent dots whose terms have coefficients over distinct integer denominators.
+        xs = []
+        for d in (1, 2, 3, 5, 7)[:size]:
+            coeffs = [CycNum(n, [1] + [rng.randint(-3, 3) for _ in range(phi - 1)], d)]
+            coeffs += [CycNum(n, [rng.randint(-3, 3) for _ in range(phi)], d) for _ in range(rng.randint(0, 2))]
+            xs.append(RatFun.from_laurent(n, rng.randint(-3, 1), coeffs))
+        ys = [_laurent(rng, n) for _ in range(size)]
+        want = (ring(0), ring(1))
+        for x, y in zip(xs, ys):
+            want = add(want, mul(pair(x), pair(y)))
+        check(RatFun.dot(xs, ys), want)
+        check(RatFun.dot(ys, xs), want)
     for _ in range(10):
         xs = [rand_cyc_over(rng, n) if rng.random() < 0.7 else CycNum.zero(n) for _ in range(4)]
         ys = [rand_cyc_over(rng, n) for _ in range(4)]
@@ -679,8 +693,13 @@ def test_monomial_maps_substitute_by_scaling(monkeypatch):
     calls = []
     _count_calls(monkeypatch, ratfun._MoebiusKernel, "_row", calls)
     _count_calls(monkeypatch, CycNum, "inv", calls)
+    _count_calls(monkeypatch, ratfun._MoebiusKernel, "_scale", calls)
     images = {g: m.compose_moebius(maps[g]) for g in (diag, anti)}
-    assert calls == []
+    # An entry over z^m keeps its denominator as built: one scaling, of the
+    # numerator, per nonconstant entry and map.
+    nonconstant = sum(1 for f in chain.from_iterable(m.entries) if not (f.num.is_const() and f.den.is_const()))
+    assert nonconstant >= 6
+    assert calls == ["_scale"] * (2 * nonconstant)
     monkeypatch.undo()
     for g, image in images.items():
         for f, got in zip(chain.from_iterable(m.entries), chain.from_iterable(image.entries)):
@@ -703,3 +722,100 @@ def _general_compose(f: RatFun, mob) -> RatFun:
         return acc
 
     return at(f.num) / at(f.den)
+
+
+def test_ratmat_product_rejects_mixed_moduli():
+    # A product builds its result without re-checking the entries, so the
+    # dot product itself refuses mixed moduli, over zero, Laurent and
+    # general entries alike.
+    lin = Poly(N, [cyc(1), cyc(1)])
+    laurent = RatMat([[RatFun.monomial(cyc(2), -1), RatFun.zero(N)], [RatFun.zero(N), RatFun.one(N)]])
+    general = RatMat([[RatFun(Poly.one(N), lin), RatFun.one(N)], [RatFun.zero(N), RatFun(Poly.x(N), lin)]])
+    for n in (1, 4):
+        b = RatMat([[RatFun.one(n), RatFun.zero(n)], [RatFun.zero(n), RatFun.monomial(CycNum.one(n), 2)]])
+        for a in (laurent, general):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ModulusMismatch):
+                    x * y
+                with pytest.raises(ModulusMismatch):
+                    x.mul_vector([row[0] for row in y.entries])
+
+
+def test_laurent_product_calls_no_poly_mul(monkeypatch):
+    # Every output entry of a product of Laurent matrices is one Poly._dot
+    # over its terms, single nonzero terms included: no Poly product is formed.
+    rng = random.Random(73)
+    fs = [_laurent(rng, N) for _ in range(12)] + [RatFun.from_poly(rand_poly(rng)), RatFun.zero(N)]
+    a = RatMat([fs[0:3], [fs[3], fs[13], fs[4]], fs[5:8]])
+    b = RatMat([[fs[8], fs[13], fs[9]], [fs[13], fs[10], fs[12]], [fs[11], fs[13], fs[13]]])
+    calls = []
+    _count_calls(monkeypatch, Poly, "__mul__", calls)
+    got = a * b
+    got_vec = a.mul_vector([row[0] for row in b.entries])
+    assert calls == []
+    monkeypatch.undo()
+    want = [[sum((x * y for x, y in zip(row, col)), RatFun.zero(N)) for col in zip(*b.entries)] for row in a.entries]
+    assert got == RatMat(want)
+    assert got_vec == [row[0] for row in want]
+    for f in chain.from_iterable(got.entries):
+        assert RatFun(f.num, f.den) == f
+
+
+def test_factor_one_terms_pass_through(monkeypatch):
+    # An output entry that is one nonzero term with a factor 1 is the other
+    # factor itself, with no normalisation, for Laurent and rational entries.
+    rng = random.Random(79)
+    lin = Poly(N, [cyc(1), CycNum.zeta(N)])
+    one, zero = RatFun.one(N), RatFun.zero(N)
+    b = RatMat(
+        [
+            [_laurent(rng, N), _over_linear(rng, N, lin), zero],
+            [_over_linear(rng, N, lin), zero, _laurent(rng, N)],
+            [zero, _laurent(rng, N), _over_linear(rng, N, lin)],
+        ]
+    )
+    e = RatMat([[one, zero, _laurent(rng, N)], [zero, one, zero], [zero, zero, one]])
+    calls = []
+    _count_calls(monkeypatch, Poly, "_normal", calls, static=True)
+    got = b * RatMat.identity(N, 3)
+    assert calls == []
+    got_left = e * b
+    monkeypatch.undo()
+    for got_row, b_row in zip(got.entries, b.entries):
+        assert all(g is x for g, x in zip(got_row, b_row) if not x.is_zero())
+    assert got == b
+    kept = zip(got_left.entries[1] + got_left.entries[2], b.entries[1] + b.entries[2])
+    assert all(g is x for g, x in kept if not x.is_zero())
+    assert got_left.entries[0] == tuple(x + e.entries[0][2] * y for x, y in zip(b.entries[0], b.entries[2]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_laurent_det_runs_no_gcd(monkeypatch, n):
+    # Bareiss clears a row of Laurent entries by a power of z, with shifts:
+    # a 4x4 Laurent determinant takes no polynomial gcd or lcm and matches
+    # sympy's determinant over QQ(z).
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    zs = sp.Symbol("z")
+    field = sp.QQ.frac_field(zs)
+    rng = random.Random(79 + n)
+
+    def entry() -> RatFun:
+        if rng.random() < 0.15:
+            return RatFun.zero(n)
+        coeffs = [CycNum.from_fraction(n, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+        return RatFun.from_laurent(n, rng.randint(-3, 1), coeffs)
+
+    for _ in range(3):
+        rows = [[entry() for _ in range(4)] for _ in range(4)]
+        m = RatMat(rows)
+        calls = []
+        _count_calls(monkeypatch, ratfun, "poly_gcd", calls)
+        _count_calls(monkeypatch, ratfun, "poly_lcm", calls)
+        got = m.det()
+        assert calls == []
+        monkeypatch.undo()
+        ref = DomainMatrix([[_to_sympy(e, field, zs) for e in row] for row in rows], (4, 4), field)
+        assert _to_sympy(got, field, zs) == ref.det()
+        assert RatFun(got.num, got.den) == got
