@@ -15,7 +15,12 @@ C[1/z] (invertible at infinity).  The exponents of D are the splitting type.
 The factorization is computed by the constructive splitting argument:
 sections of maximal twist split off one line bundle at a time, with
 left-Hermite compression keeping entry degrees bounded by the determinant
-exponent throughout.
+exponent throughout.  Sections are Poly vectors in w with their transition
+products as RatFun vectors in z, so the twist ladder and the clearing of a
+peeled row use the same Laurent arithmetic as RatMat.  A peel calls
+RatMat.inv only on the two completions and the two factors of the
+recursion; the row-clearing, block and permutation matrices are inverted by
+their shape.
 """
 
 from __future__ import annotations
@@ -177,12 +182,14 @@ def _is_unimodular_w(m: RatMat) -> bool:
 
 
 class _SectionSpace:
-    """Basis of section pairs of E x O(m), with cached transition products.
+    """Basis of section pairs of E x O(m), each with its transition product.
 
-    A section is determined by the chart-1 polynomial vector s1; the cached
-    product P = T s1 (a Laurent coefficient table) has no exponent below -m,
-    and s0 = z^m P.  Lowering m by one imposes r linear conditions (the
-    coefficients of z^(-m) of P), which is how the ladder steps down.
+    A section is determined by the chart-1 vector s1 of polynomials in w; the
+    basis keeps each as (s1, P) with P = T s1(1/z) a vector of Laurent
+    polynomials in z that has no exponent below -m, so s0 = z^m P.  Lowering
+    m by one imposes r linear conditions (the coefficients of z^(-m) of P),
+    which is how the ladder steps down; the new basis is formed by
+    RatFun.dot over the old one.
     """
 
     def __init__(self, cocycle_matrix: RatMat, m: int):
@@ -203,7 +210,7 @@ class _SectionSpace:
                 if coeffs:
                     max_updeg = max(max_updeg, -v)
         self.cap = m + k_det + (self.r - 1) * max_updeg
-        self.basis: list[tuple[list[list[CycNum]], list[dict[int, CycNum]]]] = []
+        self.basis: list[tuple[list[Poly], list[RatFun]]] = []
         if self.cap >= 0:
             self._base_solve()
 
@@ -239,27 +246,9 @@ class _SectionSpace:
                 for s in range(cols)
             ]
         for vec in kernel:
-            s1 = [vec[k * (cap + 1): (k + 1) * (cap + 1)] for k in range(r)]
-            self.basis.append((s1, self._product(s1)))
-
-    def _product(self, s1: list[list[CycNum]]) -> list[dict[int, CycNum]]:
-        out: list[dict[int, CycNum]] = []
-        for i in range(self.r):
-            acc: dict[int, CycNum] = {}
-            for k in range(self.r):
-                v, coeffs = self._entry_data[i][k]
-                comp = s1[k]
-                for ci, c in enumerate(coeffs):
-                    if c.is_zero():
-                        continue
-                    for j, b in enumerate(comp):
-                        if b.is_zero():
-                            continue
-                        e = v + ci - j
-                        cur = acc.get(e)
-                        acc[e] = c * b if cur is None else cur + c * b
-            out.append({e: c for e, c in acc.items() if not c.is_zero()})
-        return out
+            s1 = [Poly(n, vec[k * (cap + 1): (k + 1) * (cap + 1)]) for k in range(r)]
+            s1_z = [_w_poly_to_ratfun(p) for p in s1]
+            self.basis.append((s1, [RatFun.dot(row, s1_z) for row in self.T.entries]))
 
     def dim(self) -> int:
         return len(self.basis)
@@ -270,55 +259,31 @@ class _SectionSpace:
         if not self.basis:
             return
         target = -self.m - 1  # new forbidden exponent after the decrement
-        zero = CycNum.zero(self.n)
         cond_rows = []
         for i in range(self.r):
-            row = [prod[i].get(target, zero) for _, prod in self.basis]
+            row = [prod[i].num.coeff(target + prod[i].den.degree()) for _, prod in self.basis]
             if any(not c.is_zero() for c in row):
                 cond_rows.append(row)
         if not cond_rows:
             return
-        combos = nullspace(cond_rows)
+        s1s = [[RatFun.from_poly(p) for p in s1] for s1, _ in self.basis]
+        prods = [prod for _, prod in self.basis]
         new_basis = []
-        for combo in combos:
-            s1 = [
-                [zero for _ in range(len(self.basis[0][0][0]))] for _ in range(self.r)
-            ]
-            prod: list[dict[int, CycNum]] = [dict() for _ in range(self.r)]
-            for coeff, (b_s1, b_prod) in zip(combo, self.basis):
-                if coeff.is_zero():
-                    continue
-                for k in range(self.r):
-                    s1[k] = [x + coeff * y for x, y in zip(s1[k], b_s1[k])]
-                for i in range(self.r):
-                    for e, c in b_prod[i].items():
-                        cur = prod[i].get(e)
-                        val = coeff * c if cur is None else cur + coeff * c
-                        prod[i][e] = val
-            prod = [{e: c for e, c in comp.items() if not c.is_zero()} for comp in prod]
-            new_basis.append((s1, prod))
+        for combo in nullspace(cond_rows):
+            cs = [RatFun.const(c) for c in combo]
+            s1 = [RatFun.dot(cs, col).num for col in zip(*s1s)]
+            new_basis.append((s1, [RatFun.dot(cs, col) for col in zip(*prods)]))
         self.basis = new_basis
 
     def section_pairs(self) -> list[tuple[list[Poly], list[Poly]]]:
         """Pairs (s0, s1) with s0 polynomial in z and s1 polynomial in w."""
-        n, m = self.n, self.m
+        z_m = RatFun.monomial(CycNum.one(self.n), self.m)
         out = []
-        for s1_coeffs, prod in self.basis:
-            s1 = [Poly(n, comp) for comp in s1_coeffs]
-            s0 = []
-            for comp in prod:
-                if comp:
-                    lo = min(comp.keys())
-                    if lo + m < 0:
-                        raise MathRejection("section product has a forbidden pole")
-                    hi = max(comp.keys())
-                    coeffs = [
-                        comp.get(e, CycNum.zero(n)) for e in range(-m, hi + 1)
-                    ]
-                    s0.append(Poly(n, coeffs))
-                else:
-                    s0.append(Poly.zero(n))
-            out.append((s0, s1))
+        for s1, prod in self.basis:
+            s0 = [f * z_m for f in prod]
+            if not all(f.is_polynomial() for f in s0):
+                raise MathRejection("section product has a forbidden pole")
+            out.append(([f.num for f in s0], s1))
         return out
 
 
@@ -507,12 +472,9 @@ def _birkhoff_core(T: RatMat) -> tuple[RatMat, list[int], RatMat]:
         p_right = RatMat(
             [[one if perm[j] == i else zero for j in range(r)] for i in range(r)]
         )
-        p_left = p_right.inv()
-        # diag(exps) = p_right_inv-ordered: L*H = L * P * D_sorted * P^{-1}
-        l_total = l_h * p_right
-        r_total = p_left
+        # H = P * D_sorted * P^-1, and the permutation P has inverse P^T.
         degrees = [exps[perm[j]] for j in range(r)]
-        return l_total, degrees, r_total
+        return l_h * p_right, degrees, RatMat(zip(*p_right.entries))
     # Peel off a line subbundle of maximal degree.
     d1, s0, s1 = _max_degree_section(h_mat, k_h)
     if all(p.is_zero() for p in s0) or all(p.is_zero() for p in s1):
@@ -536,46 +498,27 @@ def _birkhoff_core(T: RatMat) -> tuple[RatMat, list[int], RatMat]:
     m_row = [m_mat.entries[0][j] for j in range(1, r)]
     r2_inv = r2.inv()
     m_prime = RatMat([m_row]) * r2_inv
-    # Clear the remaining row against the corner 1 and the pivots z^e.
+    # Clear the remaining row against the corner 1 and the pivots z^e: the
+    # exponents >= 1 of entry idx go to the left, z^-e_deg times, and the
+    # rest to the right.
     if any(e > 0 for e in degs2):
         raise MathRejection("subbundle degree exceeds the peeled degree")
-    left_clear = RatMat.identity(n, r)
-    right_clear = RatMat.identity(n, r)
+    left_row = [RatFun.zero(n)] * (r - 1)
+    right_row = list(left_row)
     for idx, e_deg in enumerate(degs2):
-        entry = m_prime.entries[0][idx]
-        if entry.is_zero():
-            continue
-        v, coeffs = _laurent_data(entry)
-        pos: dict[int, CycNum] = {}
-        neg: dict[int, CycNum] = {}
-        for ci, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            e = v + ci
-            (pos if e >= 1 else neg)[e] = c
+        v, coeffs = _laurent_data(m_prime.entries[0][idx])
+        cut = max(1 - v, 0)  # index of exponent 1
+        pos, neg = coeffs[cut:], coeffs[:cut]
         if pos:
-            p_poly = Poly(
-                n,
-                [
-                    pos.get(e_deg + t, CycNum.zero(n))
-                    for t in range(0, max(pos) - e_deg + 1)
-                ],
-            )
-            left_clear = left_clear.with_entry(
-                0, idx + 1, -RatFun.from_poly(p_poly)
-            )
+            left_row[idx] = -RatFun.from_poly(Poly(n, pos).shift(v + cut - e_deg))
         if neg:
-            lo = min(neg)
-            q = RatFun.from_laurent(
-                n, lo, [neg.get(e, CycNum.zero(n)) for e in range(lo, 1)]
-            )
-            right_clear = right_clear.with_entry(0, idx + 1, -q)
-    block_l = _block_diag_one(l2)
-    block_r = _block_diag_one(r2)
-    # m_mat = block_l * left_clear^{-1} * Dfull * right_clear^{-1} * block_r
-    # where left_clear/right_clear were built to satisfy
-    # left_clear * (block_l^{-1} m_mat block_r^{-1}) * right_clear = Dfull.
-    check = left_clear * block_l.inv() * m_mat * block_r.inv() * right_clear
+            right_row[idx] = -RatFun.from_laurent(n, v, neg)
+    # With block_l = 1 + l2 and block_r = 1 + r2 (block diagonal), check that
+    # _unit_row(left_row) * block_l^-1 * m_mat * block_r^-1 * _unit_row(right_row) = Dfull.
+    check = (
+        _unit_row(left_row) * _block_diag_one(l2.inv()) * m_mat
+        * _block_diag_one(r2_inv) * _unit_row(right_row)
+    )
     degrees_full = [0] + list(degs2)
     for i in range(r):
         for j in range(r):
@@ -587,11 +530,20 @@ def _birkhoff_core(T: RatMat) -> tuple[RatMat, list[int], RatMat]:
             elif not e.is_zero():
                 raise MathRejection("clearing left a nonzero off-diagonal entry")
     # T = z^shift L_h H ; H z^{-d1} = U^{-1} m_mat V
-    # m_mat = block_l left_clear^{-1} Dfull right_clear^{-1} block_r
-    l_total = l_h * u_mat.inv() * block_l * left_clear.inv()
-    r_total = right_clear.inv() * block_r * v_mat
+    # m_mat = block_l _unit_row(-left_row) Dfull _unit_row(-right_row) block_r
+    l_total = l_h * u_mat.inv() * _block_diag_one(l2) * _unit_row([-f for f in left_row])
+    r_total = _unit_row([-f for f in right_row]) * _block_diag_one(r2) * v_mat
     degrees = [d + d1 + shift for d in degrees_full]
     return l_total, degrees, r_total
+
+
+def _unit_row(row: list[RatFun]) -> RatMat:
+    """The identity with first row [1, *row]; _unit_row(-row) is its inverse."""
+    size = len(row) + 1
+    zero, one = RatFun.zero(row[0].n), RatFun.one(row[0].n)
+    rows = [[one] + list(row)]
+    rows.extend([one if i == j else zero for j in range(size)] for i in range(1, size))
+    return RatMat(rows)
 
 
 def _block_diag_one(m: RatMat) -> RatMat:

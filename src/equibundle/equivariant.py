@@ -467,12 +467,12 @@ def _module_from_block(
 
 
 def classify_with_certificates(
-    bundle: EquivariantBundle, validate_level: str = "relations", with_data: bool = False
+    bundle: EquivariantBundle, validate_level: str = "relations"
 ) -> tuple[CanonicalForm, dict]:
     """Full pipeline with exact certificates for every stage.
 
-    with_data additionally embeds the averaged splitting and the action
-    matrices of every stage, so the averaging identities can be re-verified
+    Every averaging stage also carries its data (the averaged splitting and
+    the action matrices), so the averaging identities can be re-verified
     from serialized output alone.
     """
     report = validate_equivariance(bundle, level=validate_level)
@@ -539,20 +539,18 @@ def classify_with_certificates(
                     raise InvalidStructure("averaged splitting violates degree bounds")
         projection = identity.submatrix(bottom, every)
         _check_averaged(group, cur_action, quot_action, projection, psi_tilde)
-        stage_cert = {
+        certificates["averaging"].append({
             "block_degree": delta,
             "block_rank": r_bot,
             "right_inverse": True,
             "equivariant": True,
-        }
-        if with_data:
-            stage_cert["data"] = {
+            "data": {
                 "generators": list(gens),
                 "action": list(cur_action),
                 "quotient_action": list(quot_action),
                 "psi_tilde": psi_tilde,
-            }
-        certificates["averaging"].append(stage_cert)
+            },
+        })
         # Change frame so the complement becomes a coordinate block: the
         # frame is [I_k | psi_tilde] and, psi_tilde having unit bottom block,
         # its inverse is 2I - frame.

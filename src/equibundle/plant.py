@@ -24,7 +24,7 @@ from .equivariant import (
 from .errors import MathRejection, SingularMatrix
 from .extensions import PGLGroup
 from .linalg import Matrix, mat_inv
-from .matgroup import FiniteMatrixGroup, Representation
+from .matgroup import FiniteMatrixGroup, Representation, standard_representation
 from .moebius import sym_power_matrix
 from .ratfun import Poly, RatFun, RatMat, invert_variable
 
@@ -33,7 +33,6 @@ __all__ = [
     "random_unimodular_w",
     "planted_cocycle",
     "one_dim_reps",
-    "standard_rep",
     "sym_square_rep",
     "random_module",
     "random_canonical_form",
@@ -66,9 +65,14 @@ def _max_entry_degree(m: RatMat, in_w: bool) -> int:
 def _random_unimodular(
     rng: random.Random, n: int, size: int, entry_cap: int, ops: Optional[int], in_w: bool
 ) -> RatMat:
-    """Product of random elementary and diagonal factors over C[z], or C[1/z] when in_w."""
+    """Product of random elementary and diagonal factors over C[z], or C[1/z] when in_w.
+
+    Each factor is applied as a column operation: right-multiplying by
+    I + entry e_ij adds entry times column i to column j, and a diagonal
+    factor scales column i.
+    """
     while True:
-        m = RatMat.identity(n, size)
+        rows = [list(row) for row in RatMat.identity(n, size).entries]
         count = ops if ops is not None else rng.randint(1, 2 * size)
         for _ in range(count):
             if size > 1 and rng.random() >= 0.25:
@@ -77,14 +81,16 @@ def _random_unimodular(
                 entry = RatFun.from_poly(p)
                 if in_w:
                     entry = invert_variable(entry)
-                e = RatMat.identity(n, size).with_entry(i, j, entry)
+                for row in rows:
+                    row[j] = row[j] + row[i] * entry
             else:
                 i = rng.randrange(size)
                 c = _rand_cyc(rng, n)
                 while c.is_zero():
                     c = _rand_cyc(rng, n)
-                e = RatMat.identity(n, size).with_entry(i, i, RatFun.const(c))
-            m = m * e
+                for row in rows:
+                    row[i] = row[i].scale(c)
+        m = RatMat(rows)
         if _max_entry_degree(m, in_w) <= entry_cap:
             return m
 
@@ -153,10 +159,6 @@ def one_dim_reps(group) -> list[Representation]:
     return out
 
 
-def standard_rep(group: FiniteMatrixGroup) -> Representation:
-    return Representation(group, 2, [g.matrix() for g in group.elements], check=False)
-
-
 def sym_square_rep(group) -> Representation:
     """Symmetric square of the defining representation; descends projectively."""
     images = [sym_power_matrix(g, 2) for g in group.elements]
@@ -178,14 +180,14 @@ def _module_pool(group, parity: str) -> list[Representation]:
     if parity == "plain":
         blocks.extend(ones)
         if isinstance(group, FiniteMatrixGroup):
-            std = standard_rep(group)
+            std = standard_representation(group)
             blocks.append(std)
             if ones:
                 blocks.append(std.tensor(ones[-1]))
         blocks.append(sym_square_rep(group))
     else:
         blocks.extend([r for r in ones if r.is_odd_twist()])
-        std = standard_rep(group)
+        std = standard_representation(group)
         if std.is_odd_twist():
             blocks.append(std)
         for chi in ones:

@@ -147,7 +147,7 @@ def _roundtrip_case(
     cf = random_canonical_form(rng, group, min_deg=min_deg, max_deg=max_deg, max_dim=max_dim)
     planted = conjugated_modules(rng, cf)
     bundle = random_retrivialization(rng, build_from_canonical(planted, group))
-    recovered, certs = classify_with_certificates(bundle, with_data=True)
+    recovered, certs = classify_with_certificates(bundle)
     averaging_ok = all(
         verify_averaging_stage(_averaging_stage_to_json(stage, bundle.n))
         for stage in certs["averaging"]

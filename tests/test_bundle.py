@@ -8,6 +8,8 @@ from equibundle.cyclotomic import CycNum
 from equibundle.errors import NotACocycle, SingularMatrix
 from equibundle.bundle import (
     TransitionCocycle,
+    _compressed,
+    _SectionSpace,
     birkhoff_factor,
     h0_dimension,
     h0_profile,
@@ -15,7 +17,7 @@ from equibundle.bundle import (
     section_basis,
     splitting_type,
 )
-from equibundle.ratfun import Poly, RatFun, RatMat
+from equibundle.ratfun import Poly, RatFun, RatMat, invert_variable
 
 N = 12
 
@@ -213,6 +215,31 @@ def test_section_basis_satisfies_matching():
         lhs = [RatFun.from_poly(p) for p in s0]
         rhs = e.transition.scale(z_m).mul_vector(s1_z)
         assert lhs == rhs
+
+
+def test_section_ladder_pairs_match_at_every_twist():
+    # Walk one section space down the twist ladder on the compressed
+    # transition T_h; at each twist m every pair satisfies
+    # s0(z) = T_h(z) z^m s1(1/z) and the pairs count h0 of E x O(m - shift).
+    rng = random.Random(2024)
+    for degrees in ([2, -1], [1, 1, -2], [3, 0, -1]):
+        e = planted_cocycle(rng, degrees)
+        t_h, _, shift = _compressed(e.transition)
+        m_hi = shift + max(degrees) + 1
+        space = _SectionSpace(t_h, m_hi)
+        dims = []
+        for m in range(m_hi, shift - max(degrees) - 2, -1):
+            assert space.m == m
+            pairs = space.section_pairs()
+            assert len(pairs) == space.dim() == h0_dimension(e, m - shift)
+            z_m = RatFun.monomial(cyc(1), m)
+            for s0, s1 in pairs:
+                s1_z = [invert_variable(RatFun.from_poly(p)) for p in s1]
+                assert [RatFun.from_poly(p) for p in s0] == t_h.scale(z_m).mul_vector(s1_z)
+            dims.append(len(pairs))
+            space.step_down()
+        assert dims[-1] == 0 < dims[0]
+        assert len(set(dims)) > 2, degrees
 
 
 def test_hn_filtration_semistable():

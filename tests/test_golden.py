@@ -1,8 +1,9 @@
-"""Golden byte-identity of the classification output.
+"""Golden byte-identity of the classification and splitting output.
 
 The determinism tests compare two runs of the same code; these digests pin
 the bytes themselves, so a refactor of the pipeline must reproduce the
-recorded canonical forms, certificates and averaged splittings exactly.
+recorded canonical forms, certificates, averaged splittings and Birkhoff
+factors exactly.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import random
 
 import pytest
 
-from equibundle import serialize
+from equibundle import bundle, plant, serialize
+from equibundle.bundle import TransitionCocycle
 from equibundle.cli import main
+from equibundle.cyclotomic import CycNum
 from equibundle.equivariant import build_from_canonical, classify_with_certificates
 from equibundle.extensions import pgl_group
 from equibundle.matgroup import catalog
@@ -22,6 +25,7 @@ from equibundle.plant import (
     random_canonical_form,
     random_retrivialization,
 )
+from equibundle.ratfun import RatFun, RatMat
 
 
 def _sha(text: str) -> str:
@@ -72,9 +76,46 @@ def test_classify_output_bytes_pinned(name, tmp_path, capsys):
     path.write_text(serialize.dumps(serialize.bundle_to_json(bundle)))
     assert main(["classify", "--input", str(path)]) == 0
     assert _sha(capsys.readouterr().out) == stdout_sha
-    _, certs = classify_with_certificates(bundle, with_data=True)
+    _, certs = classify_with_certificates(bundle)
     digests = [
         _sha(serialize.dumps(serialize.ratmat_to_json(stage["data"]["psi_tilde"])))
         for stage in certs["averaging"]
     ]
     assert digests == psi_shas
+
+
+# (seed, planted degrees, line subbundles peeled, split stdout digest).  The
+# dressings are two elementary factors each over Q(zeta_12); a peel runs the
+# section ladder (_max_degree_section, _SectionSpace.step_down) and the
+# clearing step, so these digests pin the bytes of u_plus and u_minus there.
+SPLIT_CASES = {
+    "rank2_peel": (4, [2, -1], 1, "4e257b68222729088b23dcbc97c1d43aa23ff98b5a10e66b9d389b342cca86ad"),
+    "rank2_diagonal": (1, [2, -1], 0, "ed06f92f4beb94fb993bde57a5bbabf7d1a0ade9d6337dbb8464b0521978f3d4"),
+    "rank3_peel": (16, [3, 0, -2], 2, "84eab458d7aac98a81e3cc85f64c7525121a4ee0ee134bb79b8d1f63e74c8b8d"),
+    "rank4_peel": (6, [2, 1, 0, -3], 3, "79b5f1817cbe84c4982588d9de1676da87430e144caeb7b55fe85ad2c498f115"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_split_output_bytes_pinned(name, tmp_path, capsys, monkeypatch):
+    seed, degrees, peels, stdout_sha = SPLIT_CASES[name]
+    rng = random.Random(seed)
+    n, size = 12, len(degrees)
+    u_plus = plant.random_unimodular_z(rng, n, size, 3, ops=2)
+    u_minus = plant.random_unimodular_w(rng, n, size, 3, ops=2)
+    diag = RatMat.diag([RatFun.monomial(CycNum.one(n), d) for d in degrees])
+    path = tmp_path / "cocycle.json"
+    path.write_text(
+        serialize.dumps(serialize.cocycle_to_json(TransitionCocycle(size, u_plus * diag * u_minus)))
+    )
+    peel = bundle._max_degree_section
+    calls = []
+
+    def counted_peel(*args):
+        calls.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(bundle, "_max_degree_section", counted_peel)
+    assert main(["split", "--input", str(path)]) == 0
+    assert len(calls) == peels
+    assert _sha(capsys.readouterr().out) == stdout_sha
