@@ -189,10 +189,11 @@ class _SectionSpace:
     polynomials in z that has no exponent below -m, so s0 = z^m P.  Lowering
     m by one imposes r linear conditions (the coefficients of z^(-m) of P),
     which is how the ladder steps down; the new basis is formed by
-    RatFun.dot over the old one.
+    RatFun.dot over the old one.  k_det is the exponent of det T = c z^k_det,
+    which the caller knows.
     """
 
-    def __init__(self, cocycle_matrix: RatMat, m: int):
+    def __init__(self, cocycle_matrix: RatMat, m: int, k_det: int):
         self.T = cocycle_matrix
         self.r = cocycle_matrix.rows
         self.n = cocycle_matrix.n
@@ -200,10 +201,6 @@ class _SectionSpace:
         self._entry_data = [
             [_laurent_data(e) for e in row] for row in cocycle_matrix.entries
         ]
-        det_unit = laurent_is_unit(cocycle_matrix.det())
-        if det_unit is None:
-            raise NotACocycle("section solve requires a monomial determinant")
-        k_det = det_unit[1]
         max_updeg = 0
         for row in self._entry_data:
             for v, coeffs in row:
@@ -420,7 +417,7 @@ def _max_degree_section(T_h: RatMat, k_det: int) -> tuple[int, list[Poly], list[
     """Largest d with a section of E(-d), plus one such section pair."""
     r = T_h.rows
     d0 = -(-k_det // r)  # ceil(k/r): the mean degree, where a section must exist
-    space = _SectionSpace(T_h, -d0)
+    space = _SectionSpace(T_h, -d0, k_det)
     if space.dim() == 0:
         raise MathRejection("no section at the mean degree; determinant data broken")
     prev_pairs = space.section_pairs()
@@ -442,14 +439,13 @@ def _sorting_permutation(exps: list[int]) -> list[int]:
     return sorted(range(len(exps)), key=lambda i: (-exps[i], i))
 
 
-def _birkhoff_core(T: RatMat) -> tuple[RatMat, list[int], RatMat]:
-    """Recursive engine: T = L * diag(z^degrees) * R, degrees nonincreasing."""
+def _birkhoff_core(T: RatMat, k_det: int) -> tuple[RatMat, list[int], RatMat]:
+    """Recursive engine: T = L * diag(z^degrees) * R, degrees nonincreasing.
+
+    det T = c z^k_det; the callers know k_det, so it is not recomputed.
+    """
     n = T.n
     r = T.rows
-    det_unit = laurent_is_unit(T.det())
-    if det_unit is None:
-        raise NotACocycle("determinant is not a monomial unit")
-    _, k_det = det_unit
     if r == 1:
         unit = laurent_is_unit(T.entries[0][0])
         assert unit is not None
@@ -494,7 +490,9 @@ def _birkhoff_core(T: RatMat) -> tuple[RatMat, list[int], RatMat]:
         if not expected_one and not e.is_zero():
             raise MathRejection("peeled column is not normalized")
     sub = m_mat.submatrix(range(1, r), range(1, r))
-    l2, degs2, r2 = _birkhoff_core(sub)
+    # U and V have constant determinants, so det m_mat = c z^(k_h - r d1), and
+    # its first column is e1, so sub has the same determinant.
+    l2, degs2, r2 = _birkhoff_core(sub, k_h - r * d1)
     m_row = [m_mat.entries[0][j] for j in range(1, r)]
     r2_inv = r2.inv()
     m_prime = RatMat([m_row]) * r2_inv
@@ -558,7 +556,7 @@ def _block_diag_one(m: RatMat) -> RatMat:
 
 def birkhoff_factor(cocycle: TransitionCocycle) -> BirkhoffFactorization:
     """Exact factorization T = U_plus * diag(z^d) * U_minus, degrees sorted."""
-    l_mat, degrees, r_mat = _birkhoff_core(cocycle.transition)
+    l_mat, degrees, r_mat = _birkhoff_core(cocycle.transition, cocycle.degree)
     fact = BirkhoffFactorization(l_mat, tuple(degrees), r_mat)
     fact.residual_zero = fact.residual_is_zero(cocycle)
     if not fact.residual_zero:
@@ -599,7 +597,7 @@ def hn_filtration(cocycle: TransitionCocycle, factorization: Optional[BirkhoffFa
 def h0_dimension(cocycle: TransitionCocycle, m: int = 0) -> int:
     """dim H^0 of E x O(m), by direct exact linear solve."""
     t_h, _, shift = _compressed(cocycle.transition)
-    space = _SectionSpace(t_h, m + shift)
+    space = _SectionSpace(t_h, m + shift, cocycle.degree - cocycle.rank * shift)
     return space.dim()
 
 
@@ -608,7 +606,7 @@ def h0_profile(cocycle: TransitionCocycle, m_lo: int, m_hi: int) -> dict[int, in
     if m_lo > m_hi:
         raise MalformedInput("empty twist range")
     t_h, _, shift = _compressed(cocycle.transition)
-    space = _SectionSpace(t_h, m_hi + shift)
+    space = _SectionSpace(t_h, m_hi + shift, cocycle.degree - cocycle.rank * shift)
     out = {m_hi: space.dim()}
     for m in range(m_hi - 1, m_lo - 1, -1):
         space.step_down()
@@ -623,7 +621,7 @@ def section_basis(cocycle: TransitionCocycle, m: int = 0) -> list[tuple[list[Pol
     trivialization of the cocycle.
     """
     t_h, l_h, shift = _compressed(cocycle.transition)
-    space = _SectionSpace(t_h, m + shift)
+    space = _SectionSpace(t_h, m + shift, cocycle.degree - cocycle.rank * shift)
     pairs = space.section_pairs()
     out = []
     for s0_h, s1 in pairs:

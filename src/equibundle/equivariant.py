@@ -34,7 +34,7 @@ from .errors import (
     ParityObstruction,
     SingularMatrix,
 )
-from .extensions import PGLGroup, SplittingHom
+from .extensions import PGLGroup, SplittingHom, sign_normalize
 from .linalg import rank as mat_rank
 from .matgroup import FiniteMatrixGroup, Representation, SL2Elem
 from .moebius import MoebiusMap, automorphy_factor, mu_poly
@@ -204,8 +204,29 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
     pair (g^-1, g) of every element g whose regularity they test, and a
     passing pair hands its a_{g^-1}(g z) to the regularity check as the
     inverse of a_g, and C_{g^-1} composed with g as the inverse of the
-    chart-1 matrix C_g.  Each element gets one MoebiusMap per call, so every
-    substitution by that element reuses one set of power rows.
+    chart-1 matrix C_g.
+
+    Every pair is counted and compared, but each distinct product is formed
+    once per call:
+
+    * g and -g give the same substitution z -> (a z + b)/(c z + d), so the
+      elements share one MoebiusMap (and its power rows) per projective
+      class, keyed by sign_normalize(g).  Substitution results are
+      canonical, so the sign of the matrix behind a map never shows.
+    * idx[x] is the first element whose action matrix equals a_x, so the
+      product a_i(j z) a_j(z) of pair (i, j) depends only on
+      (idx[i], map of j, idx[j]).
+    * The right-hand elements are taken map by map.  Within one map the
+      substitutions are kept by idx[i] and the products by (idx[i], idx[j]),
+      and both are dropped before the next map, so the memos hold O(|G|)
+      matrices, never one per pair.
+    * The action table was extended along tree edges as
+      a_y = a_{parent(y)}(g_t z) a_t, and a_t is the table entry of g_t on
+      every tree edge, so a_y seeds the memo of the pair (parent(y), g_t).
+    * T(g z)^-1 is formed once per map, C_g once per (map, idx[g]), and the
+      certified inverse of C_g once per (map, idx[g^-1]).
+
+    Violations are reported in pair order, element by element.
     """
     if level not in ("all", "relations"):
         raise MalformedInput("level must be 'all' or 'relations'")
@@ -221,40 +242,81 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
     for t, gi in enumerate(group.generator_indices):
         if table[gi] != bundle.gen_action[t]:
             violations.append({"kind": "generator_action_mismatch", "generator": t})
-    mobs = [MoebiusMap(e) for e in group.elements]
+    map_ids: dict[tuple, int] = {}
+    maps: list[MoebiusMap] = []
+    map_of: list[int] = []  # element -> position of its map in maps
+    for elem in group.elements:
+        key = sign_normalize(elem).key()
+        if key not in map_ids:
+            map_ids[key] = len(maps)
+            maps.append(MoebiusMap(elem))
+        map_of.append(map_ids[key])
+    first: dict[RatMat, int] = {}
+    idx = [first.setdefault(a, x) for x, a in enumerate(table)]
+    # a_y = a_{parent(y)}(g_t z) a_t.  A generator whose a_t differs from its
+    # table entry labels no tree edge: the search reaches each generator
+    # element first from the identity, through the first generator equal to
+    # it, so that generator's entry is a_t itself.
+    seeded: dict[int, dict[tuple[int, int], RatMat]] = {}  # map -> {(idx[i], idx[j]): product}
+    for y in range(1, group.order):
+        gi = group.generator_indices[group.last_gen[y]]
+        seeded.setdefault(map_of[gi], {})[idx[group.parent[y]], idx[gi]] = table[y]
     if level == "all":
-        pair_iter = ((i, j) for i in range(group.order) for j in range(group.order))
+        right = reg_elems = range(group.order)
     else:
-        pair_iter = (
-            (i, gi) for i in range(group.order) for gi in group.generator_indices
-        )
+        right = reg_elems = group.generator_indices
+    columns: dict[int, list[tuple[int, int]]] = {}  # map -> [(position in right, j)]
+    for pos, j in enumerate(right):
+        columns.setdefault(map_of[j], []).append((pos, j))
+    failed: list[tuple[int, int, int]] = []  # (i, position of j, j)
     certified_inv: dict[int, RatMat] = {}  # j -> a_{j^-1}(j z), once the pair passed
-    for i, j in pair_iter:
-        checked["cocycle_pairs"] += 1
-        ij = group.mul(i, j)
-        lhs = table[ij]
-        moved = table[i].compose_moebius(mobs[j])
-        rhs = moved * table[j]
-        if lhs != rhs:
-            violations.append({"kind": "cocycle_law", "pair": (i, j)})
-        elif ij == 0 and lhs.is_identity():
-            certified_inv[j] = moved
-    if level == "all":
-        reg_elems = list(range(group.order))
-    else:
-        reg_elems = list(group.generator_indices)
+    for m, cols in columns.items():
+        mob, rhs = maps[m], seeded.pop(m, {})
+        moved: dict[int, RatMat] = {}  # idx[i] -> a_i(j z)
+        for i in range(group.order):
+            ki = idx[i]
+            for pos, j in cols:
+                prod = rhs.get((ki, idx[j]))
+                if prod is None:
+                    if ki not in moved:
+                        moved[ki] = table[i].compose_moebius(mob)
+                    prod = rhs[ki, idx[j]] = moved[ki] * table[j]
+                ij = group.mul(i, j)
+                if table[ij] != prod:
+                    failed.append((i, pos, j))
+                elif ij == 0 and table[ij].is_identity():
+                    if ki not in moved:
+                        moved[ki] = table[i].compose_moebius(mob)
+                    certified_inv[j] = moved[ki]
+    checked["cocycle_pairs"] = group.order * len(right)
+    violations.extend({"kind": "cocycle_law", "pair": (i, j)} for i, _, j in sorted(failed))
     transition = bundle.base.transition
     t_inv = transition.inv()
-    # C_i(z) = T(i z)^(-1) a_i(z) T(z), once for each element the checks read.
-    wanted = set(reg_elems) | {group.inv(i) for i in reg_elems if i in certified_inv}
-    chart1 = {i: t_inv.compose_moebius(mobs[i]) * table[i] * transition for i in sorted(wanted)}
+    t_inv_moved: dict[int, RatMat] = {}  # map -> T(g z)^-1
+    charts: dict[tuple[int, int], RatMat] = {}  # (map, idx[g]) -> C_g
+
+    def chart1(g: int) -> RatMat:
+        """C_g(z) = T(g z)^(-1) a_g(z) T(z)."""
+        m = map_of[g]
+        key = (m, idx[g])
+        if key not in charts:
+            if m not in t_inv_moved:
+                t_inv_moved[m] = t_inv.compose_moebius(maps[m])
+            charts[key] = t_inv_moved[m] * table[g] * transition
+        return charts[key]
+
+    chart1_inv: dict[tuple[int, int], RatMat] = {}  # (map, idx[g^-1]) -> C_{g^-1}(g z)
     for i in reg_elems:
         checked["regularity_elements"] += 1
         inverses = None
         if i in certified_inv:
-            inverses = (certified_inv[i], chart1[group.inv(i)].compose_moebius(mobs[i]))
+            i_inv = group.inv(i)
+            key = (map_of[i], idx[i_inv])
+            if key not in chart1_inv:
+                chart1_inv[key] = chart1(i_inv).compose_moebius(maps[map_of[i]])
+            inverses = (certified_inv[i], chart1_inv[key])
         violations.extend(
-            _chart_regularity_issues(group.elements[i], table[i], chart1[i], i, inverses)
+            _chart_regularity_issues(group.elements[i], table[i], chart1(i), i, inverses)
         )
     return ValidationReport(checked, violations)
 

@@ -171,3 +171,60 @@ def direct_closure_tables(gens: list[SL2Elem], normalize=lambda g: g):
             last_gen.append(found[y][1])
     table = [[index[normalize(x * y)] for y in elements] for x in elements]
     return elements, table, [index[g] for g in gens], parent, last_gen
+
+
+def brute_force_validation(bundle, level: str = "all") -> dict:
+    """validate_equivariance(bundle, level).as_dict(), with nothing shared.
+
+    Every group element gets its own MoebiusMap; every pair substitutes
+    a_i by j and multiplies by a_j afresh; every chart-1 matrix
+    C_g = T(g z)^-1 a_g T is formed from two products, and the certified
+    inverse of C_g is C_{g^-1} composed with g.  The regularity test itself
+    is the library's.
+    """
+    from equibundle.equivariant import _chart_regularity_issues
+    from equibundle.errors import MathRejection, SingularMatrix
+    from equibundle.moebius import MoebiusMap
+
+    group = bundle.group
+    violations: list[dict] = []
+    checked = {"cocycle_pairs": 0, "regularity_elements": 0}
+    try:
+        table = bundle.action_table()
+    except (SingularMatrix, MathRejection) as exc:
+        violations.append({"kind": "table_extension_failed", "detail": str(exc)})
+        return {"ok": False, "checked": checked, "violations": violations}
+    for t, gi in enumerate(group.generator_indices):
+        if table[gi] != bundle.gen_action[t]:
+            violations.append({"kind": "generator_action_mismatch", "generator": t})
+    if level == "all":
+        pairs = [(i, j) for i in range(group.order) for j in range(group.order)]
+        reg_elems = list(range(group.order))
+    else:
+        pairs = [(i, gi) for i in range(group.order) for gi in group.generator_indices]
+        reg_elems = list(group.generator_indices)
+    certified_inv = {}
+    for i, j in pairs:
+        checked["cocycle_pairs"] += 1
+        ij = group.mul(i, j)
+        moved = table[i].compose_moebius(MoebiusMap(group.elements[j]))
+        if table[ij] != moved * table[j]:
+            violations.append({"kind": "cocycle_law", "pair": (i, j)})
+        elif ij == 0 and table[ij].is_identity():
+            certified_inv[j] = moved
+    transition = bundle.base.transition
+    t_inv = transition.inv()
+
+    def chart1(i):
+        return t_inv.compose_moebius(MoebiusMap(group.elements[i])) * table[i] * transition
+
+    for i in reg_elems:
+        checked["regularity_elements"] += 1
+        inverses = None
+        if i in certified_inv:
+            c_inv = chart1(group.inv(i)).compose_moebius(MoebiusMap(group.elements[i]))
+            inverses = (certified_inv[i], c_inv)
+        violations.extend(
+            _chart_regularity_issues(group.elements[i], table[i], chart1(i), i, inverses)
+        )
+    return {"ok": not violations, "checked": checked, "violations": violations}

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from equibundle import bundle
 from equibundle.cyclotomic import CycNum
 from equibundle.errors import NotACocycle, SingularMatrix
 from equibundle.bundle import (
+    BirkhoffFactorization,
     TransitionCocycle,
     _compressed,
     _SectionSpace,
@@ -146,6 +148,38 @@ def test_planted_factorization_recovery():
         assert fact.factors_in_rings()
 
 
+def test_birkhoff_factor_takes_determinants_only_in_the_ring_check(monkeypatch):
+    # The determinant exponent comes from the cocycle and is passed down the
+    # recursion, so only factors_in_rings (unimodularity of U_plus, U_minus)
+    # takes determinants.
+    e = planted_cocycle(random.Random(7), [2, 1, 0, -3])
+    det, in_rings, peel = RatMat.det, BirkhoffFactorization.factors_in_rings, bundle._max_degree_section
+    inside, det_calls, peels = [], [], []
+
+    def counted_det(self):
+        det_calls.append(bool(inside))
+        return det(self)
+
+    def counted_in_rings(self):
+        inside.append(True)
+        try:
+            return in_rings(self)
+        finally:
+            inside.pop()
+
+    def counted_peel(*args):
+        peels.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(RatMat, "det", counted_det)
+    monkeypatch.setattr(BirkhoffFactorization, "factors_in_rings", counted_in_rings)
+    monkeypatch.setattr(bundle, "_max_degree_section", counted_peel)
+    fact = birkhoff_factor(e)
+    assert fact.degrees == (2, 1, 0, -3)
+    assert len(peels) == 3
+    assert det_calls and all(det_calls)
+
+
 def test_splitting_type_invariance_under_retrivialization():
     rng = random.Random(55)
     for _ in range(8):
@@ -226,7 +260,7 @@ def test_section_ladder_pairs_match_at_every_twist():
         e = planted_cocycle(rng, degrees)
         t_h, _, shift = _compressed(e.transition)
         m_hi = shift + max(degrees) + 1
-        space = _SectionSpace(t_h, m_hi)
+        space = _SectionSpace(t_h, m_hi, e.degree - e.rank * shift)
         dims = []
         for m in range(m_hi, shift - max(degrees) - 2, -1):
             assert space.m == m

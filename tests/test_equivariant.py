@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from equibundle import equivariant, ratfun
-from equibundle.bundle import birkhoff_factor, splitting_type
+from equibundle.bundle import TransitionCocycle, birkhoff_factor, splitting_type
 from equibundle.cyclotomic import CycNum
 from equibundle.equivariant import (
     CanonicalEntry,
@@ -40,9 +40,10 @@ from equibundle.plant import (
     random_canonical_form,
     random_module,
     random_retrivialization,
+    random_unimodular_w,
 )
 from equibundle.ratfun import Poly, RatFun, RatMat
-from oracles import brute_force_one_dim_reps
+from oracles import brute_force_one_dim_reps, brute_force_validation
 
 
 def c4_group():
@@ -110,23 +111,34 @@ def _singular(*elements):
     return [{"kind": "singular_action", "element": i} for i in elements]
 
 
+def _scaled_generator(e):
+    """Generator 0 scaled by 2: its (g^-1, g) pair fails."""
+    two = RatFun.const(CycNum.from_int(e.n, 2))
+    return EquivariantBundle(e.base, e.group, [e.gen_action[0].scale(two), *e.gen_action[1:]])
+
+
+def _chart0_pole(e):
+    """Chart 0 conjugated by diag(z - 2, 1, ...) with the transition kept.
+
+    The cocycle law still holds, but the action and chart 1 gain poles.
+    """
+    n = e.n
+    z_minus_2 = RatFun.from_poly(Poly(n, [CycNum.from_int(n, -2), CycNum.one(n)]))
+    p = RatMat.diag([z_minus_2] + [RatFun.one(n)] * (e.rank - 1))
+    p_inv = p.inv()
+    action = [p.compose_moebius(e.generator_moebius(t)) * a * p_inv for t, a in enumerate(e.gen_action)]
+    return EquivariantBundle(e.base, e.group, action)
+
+
 def _invalid_bundles():
     g = catalog("binary_dihedral", 2).group()
     e = build_from_canonical(CanonicalForm([CanonicalEntry(1, standard_representation(g))]), g)
-    n = g.n
-    one, zero = RatFun.one(n), RatFun.zero(n)
-    # Generator 0 scaled by 2: its (g^-1, g) pair fails.
-    bad_pair = [e.gen_action[0].scale(RatFun.const(CycNum.from_int(n, 2))), e.gen_action[1]]
-    # Chart 0 conjugated by diag(z - 2, 1) and the transition kept: the
-    # cocycle law still holds, but the action and chart 1 gain poles.
-    z_minus_2 = RatFun.from_poly(Poly(n, [CycNum.from_int(n, -2), CycNum.one(n)]))
-    p = RatMat([[z_minus_2, zero], [zero, one]])
-    p_inv = p.inv()
-    pole = [p.compose_moebius(e.generator_moebius(t)) * a * p_inv for t, a in enumerate(e.gen_action)]
+    one, zero = RatFun.one(g.n), RatFun.zero(g.n)
     singular = [RatMat([[one, zero], [zero, zero]]), e.gen_action[1]]
     return {
-        name: EquivariantBundle(e.base, g, action)
-        for name, action in (("bad_pair", bad_pair), ("pole", pole), ("singular", singular))
+        "bad_pair": _scaled_generator(e),
+        "pole": _chart0_pole(e),
+        "singular": EquivariantBundle(e.base, g, singular),
     }
 
 
@@ -171,6 +183,75 @@ def test_invalid_bundles_keep_their_violations():
         }, (name, level)
 
 
+def _oracle_bundles():
+    """(name, bundle) pairs over SL(2) groups and one projective group.
+
+    a_{-I} is the product of the module's image of -I with (-1)^degree:
+    standard@1 (+ trivial@0) gives I, standard@0 + trivial@-1 gives -I, and
+    standard@1 + trivial@-1 gives diag(1, 1, -1) before retrivialization.
+    The broken ones scale a generator by 2 or give chart 0 a pole.
+    """
+    rng = random.Random(11)
+    sl2 = {
+        "cyclic_6": catalog("cyclic", 6).group(),
+        "bd2": catalog("binary_dihedral", 2).group(),
+        "bd3": catalog("binary_dihedral", 3).group(),
+        "tetrahedral": catalog("binary_tetrahedral").group(),
+    }
+    forms = {
+        "plus": lambda g: [(1, standard_representation(g)), (0, trivial_representation(g))],
+        "minus": lambda g: [(0, standard_representation(g)), (-1, trivial_representation(g))],
+        "mixed": lambda g: [(1, standard_representation(g)), (-1, trivial_representation(g))],
+        "rank1_minus": lambda g: [(1, trivial_representation(g))],
+        "rank2_plus": lambda g: [(1, standard_representation(g))],
+    }
+    shapes = {
+        "cyclic_6": ("mixed", "minus"),
+        "bd2": ("plus", "minus", "mixed"),
+        "bd3": ("plus", "minus"),
+        "tetrahedral": ("rank1_minus", "rank2_plus"),
+    }
+    out = []
+    for gname, g in sl2.items():
+        for shape in shapes[gname]:
+            cf = CanonicalForm([CanonicalEntry(d, m) for d, m in forms[shape](g)])
+            out.append((f"{gname}_{shape}", random_retrivialization(rng, build_from_canonical(cf, g))))
+    # Every a_g = I on O(1) + O: the cocycle law holds and all action
+    # matrices are equal across projective classes, but I is no lift on
+    # O(1): C_g = T(g z)^-1 T(z), which depends on g, and its inverse have
+    # poles away from where g leaves chart 1.
+    g = sl2["tetrahedral"]
+    z = RatFun.monomial(CycNum.one(g.n), 1)
+    t = RatMat.diag([z, RatFun.one(g.n)]) * random_unimodular_w(rng, g.n, 2, 2)
+    identity_action = [RatMat.identity(g.n, 2)] * 2
+    out.append(("tetrahedral_identity_on_O1_O", EquivariantBundle(TransitionCocycle(2, t), g, identity_action)))
+    pgl = pgl_group(catalog("binary_dihedral", 2).generators)
+    for seed in (0, 3):
+        cf = conjugated_modules(rng, random_canonical_form(random.Random(seed), pgl, -2, 2, 2))
+        out.append((f"pgl_bd2_{seed}", random_retrivialization(rng, build_from_canonical(cf, pgl))))
+    for name, e in list(out):
+        if name in ("cyclic_6_minus", "bd2_plus", "bd3_minus", "tetrahedral_rank2_plus", "pgl_bd2_0"):
+            out.append((name + "_scaled", _scaled_generator(e)))
+            out.append((name + "_pole", _chart0_pole(e)))
+    return out
+
+
+def test_validation_matches_brute_force_oracle():
+    kinds = set()
+    for name, bundle in _oracle_bundles():
+        minus = getattr(bundle.group, "minus_identity_index", lambda: None)()
+        if minus is not None:
+            a_minus = bundle.action_table()[minus]
+            one = RatMat.identity(bundle.n, bundle.rank)
+            minus_one = one.scale(RatFun.const(CycNum.from_int(bundle.n, -1)))
+            kinds.add("I" if a_minus == one else "-I" if a_minus == minus_one else "other")
+        for level in ("all", "relations"):
+            expected = brute_force_validation(bundle, level)
+            assert validate_equivariance(bundle, level).as_dict() == expected, (name, level)
+            kinds.add(expected["ok"])
+    assert kinds == {"I", "-I", "other", True, False}
+
+
 def test_valid_bundle_validation_inverts_only_the_transition(monkeypatch):
     g = catalog("binary_dihedral", 2).group()
     cf = CanonicalForm(
@@ -193,16 +274,36 @@ def test_valid_bundle_validation_inverts_only_the_transition(monkeypatch):
 
 
 def test_validation_substitutes_once_per_element(monkeypatch):
-    # Order 12, rank 3, action table prebuilt.  Level "all": one Moebius
-    # kernel per element; the |G|^2 pair products plus C_g = T(g z)^-1 a_g T
-    # (two products) per element; C_g^-1 is C_{g^-1} composed with g.
+    # Binary dihedral of order 12, rank 3, action tables prebuilt.  g and -g
+    # share one Moebius kernel: 6 projective classes at level "all"; at level
+    # "relations" the classes of the generators a, b and of a^-1 (b^-1 = -b).
+    # Products: one per distinct pair key (map of j, value of a_i, value of
+    # a_j), less the keys seeded by the table's 11 tree edges, plus two for
+    # each distinct (map, value of a_g) of a chart-1 matrix
+    # C_g = T(g z)^-1 a_g T; C_g^-1 is C_{g^-1} composed with g.
+    # - standard@1 + trivial@0: a_{-g} = a_g, 6 values, the edges seed 8 keys.
+    #   "all": 6 maps x 6 x 1 = 36 keys, 28 formed, and 6 C's.
+    #   "relations": 2 maps x 6 x 1 = 12 keys, 4 formed, and C for a, b, a^-1.
+    # - standard@0 + trivial@-1: a_{-g} = -a_g, 12 values, 11 keys seeded.
+    #   "all": 6 x 12 x 2 = 144 keys, 133 formed, and 12 C's.
+    #   "relations": 2 x 12 x 1 = 24 keys, 13 formed, and C for a, b, a^-1, b^-1.
     g = catalog("binary_dihedral", 3).group()
-    cf = CanonicalForm(
-        [CanonicalEntry(1, standard_representation(g)), CanonicalEntry(0, trivial_representation(g))]
-    )
-    bundle = random_retrivialization(random.Random(3), build_from_canonical(cf, g))
-    assert (g.order, bundle.rank) == (12, 3)
-    bundle.action_table()
+    forms = {
+        "plus": [(1, standard_representation(g)), (0, trivial_representation(g))],
+        "minus": [(0, standard_representation(g)), (-1, trivial_representation(g))],
+    }
+    expected = {
+        ("plus", "all"): {"kernel": 6, "mul": 28 + 2 * 6, "inv": 1},
+        ("plus", "relations"): {"kernel": 3, "mul": 4 + 2 * 3, "inv": 1},
+        ("minus", "all"): {"kernel": 6, "mul": 133 + 2 * 12, "inv": 1},
+        ("minus", "relations"): {"kernel": 3, "mul": 13 + 2 * 4, "inv": 1},
+    }
+    bundles = {}
+    for name, entries in forms.items():
+        cf = CanonicalForm([CanonicalEntry(d, m) for d, m in entries])
+        bundles[name] = random_retrivialization(random.Random(3), build_from_canonical(cf, g))
+        assert (g.order, bundles[name].rank) == (12, 3)
+        bundles[name].action_table()
     counts = {"kernel": 0, "mul": 0, "inv": 0}
 
     def counting(name, original):
@@ -215,16 +316,10 @@ def test_validation_substitutes_once_per_element(monkeypatch):
     monkeypatch.setattr(ratfun._MoebiusKernel, "__init__", counting("kernel", ratfun._MoebiusKernel.__init__))
     monkeypatch.setattr(RatMat, "__mul__", counting("mul", RatMat.__mul__))
     monkeypatch.setattr(RatMat, "inv", counting("inv", RatMat.inv))
-    # Level "relations": 12 x 2 pairs, C for the two generators and their
-    # inverses; kernels for the generators and their inverses.
-    expected = {
-        "all": {"kernel": 12, "mul": 144 + 2 * 12, "inv": 1},
-        "relations": {"kernel": 4, "mul": 24 + 2 * 4, "inv": 1},
-    }
-    for level in ("all", "relations"):
+    for (name, level), want in expected.items():
         counts.update(kernel=0, mul=0, inv=0)
-        assert validate_equivariance(bundle, level=level).ok
-        assert counts == expected[level], level
+        assert validate_equivariance(bundles[name], level=level).ok
+        assert counts == want, (name, level)
 
 
 def test_sign_rescaling_is_a_character_twist():

@@ -9,6 +9,7 @@ factors exactly.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -49,6 +50,14 @@ CASES = {
         "b2cb6b479abc64253a8bd5499bda17da6b47ce035542604c3f5a1e3a107707f6",
         ["772a62ee7224ddec5696075d39ad45efc692286437f4b5b6f7e02b967bf41665"],
     ),
+    # Level "all" over 24 elements: the CLI report counts 576 cocycle pairs.
+    "binary_tetrahedral_two_blocks": (
+        lambda: catalog("binary_tetrahedral").group(),
+        5,
+        [(0, "plain"), (-2, "plain")],
+        "27f808c5a74068956f0a71633d42f34b8d9b40d4143a15a1c313fe0b49d2a5ce",
+        ["cffed14a0f695222ce135d2044b2402fb0c4e5bd13a3a92b4ff4c94731173d01"],
+    ),
     "pgl_split_odd": (
         lambda: pgl_group(catalog("cyclic", 6).generators),
         0,
@@ -75,7 +84,9 @@ def test_classify_output_bytes_pinned(name, tmp_path, capsys):
     path = tmp_path / "bundle.json"
     path.write_text(serialize.dumps(serialize.bundle_to_json(bundle)))
     assert main(["classify", "--input", str(path)]) == 0
-    assert _sha(capsys.readouterr().out) == stdout_sha
+    out = capsys.readouterr().out
+    assert json.loads(out)["certificates"]["validation"]["checked"]["cocycle_pairs"] == group.order**2
+    assert _sha(out) == stdout_sha
     _, certs = classify_with_certificates(bundle)
     digests = [
         _sha(serialize.dumps(serialize.ratmat_to_json(stage["data"]["psi_tilde"])))
