@@ -3,15 +3,12 @@
 An equivariant bundle couples a transition cocycle with one chart-0 action
 matrix a_g(z) per group generator, interpreted as the fibre map over
 z -> g.z.  The classification pipeline: factor the underlying bundle, check
-that the action preserves the degree filtration, split the filtration
-equivariantly by group averaging, and read one module per degree block off
-the split action.  Every step produces exact certificates.
-
-Case split for projective groups: when the central extension by {+-I}
-splits, modules live over the projective group itself for every degree;
-when it does not split, even-degree modules live over the projective group
-and odd-degree modules over its SL(2, C) preimage, with the central element
-acting as minus the identity (the odd-twist tag).
+that the action preserves the degree filtration, read one module per degree
+block off the diagonal blocks of the action in the Birkhoff frame, and
+certify by group averaging that the filtration splits equivariantly.  Every
+step produces exact certificates.  summand_rule decides, from the group and
+the degree alone, which parity tag a summand carries and which group its
+module lives over.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .errors import (
     SingularMatrix,
 )
 from .extensions import PGLGroup, SplittingHom, sign_normalize
-from .linalg import rank as mat_rank
+from .linalg import identity_matrix, mat_neg, rank as mat_rank
 from .matgroup import FiniteMatrixGroup, Representation, SL2Elem
 from .moebius import MoebiusMap, automorphy_factor, mu_poly
 from .ratfun import Poly, RatFun, RatMat, invert_variable
@@ -53,6 +50,8 @@ __all__ = [
     "classify",
     "classify_with_certificates",
     "build_from_canonical",
+    "check_entries",
+    "summand_rule",
     "equiv_isomorphic",
 ]
 
@@ -478,6 +477,23 @@ class CanonicalForm:
 # Classification pipeline
 
 
+def summand_rule(
+    group: GroupLike, degree: int, gamma: Optional[SplittingHom]
+) -> tuple[str, GroupLike]:
+    """The parity tag of a degree-d summand and the group its module lives over.
+
+    Over a matrix group every summand is plain.  Over a projective group
+    whose extension by {+-I} splits (gamma given), summands are plain and
+    odd degrees use gamma's lifts.  Over a non-split projective group, even
+    degrees take plain modules of the group itself, and odd degrees take
+    odd-twist modules of its SL(2, C) preimage, on which -I acts by minus
+    the identity.
+    """
+    if isinstance(group, PGLGroup) and degree % 2 and gamma is None:
+        return "odd_twist", group.preimage
+    return "plain", group
+
+
 def _module_from_block(
     group: GroupLike,
     degree: int,
@@ -487,15 +503,14 @@ def _module_from_block(
     """Transport a degree block through the natural line-bundle structure.
 
     For each generator the product a_g(z) * (c z + d)^degree must come out
-    constant; those constants form the module.  Which group the module lives
-    over depends on the parity case.
+    constant; those constants form the module, over the group summand_rule
+    names.
     """
     dim = block_action[0].rows
-    plain = isinstance(group, FiniteMatrixGroup) or degree % 2 == 0 or gamma is not None
-    parity = "plain" if plain else "odd_twist"
-    lifts = [_lift_for_entry(group, t, degree, parity, gamma) for t in range(len(block_action))]
+    parity, module_group = summand_rule(group, degree, gamma)
     images = []
-    for b_mat, lift in zip(block_action, lifts):
+    for t, b_mat in enumerate(block_action):
+        lift = _lift_for_entry(group, t, degree, gamma)
         mu_pow = automorphy_factor(lift, -degree)  # (c z + d)^degree
         image = []
         for row in b_mat.entries:
@@ -509,23 +524,10 @@ def _module_from_block(
                 image_row.append(prod.const_value())
             image.append(image_row)
         images.append(image)
-    if plain:
-        return Representation.from_generator_images(group, dim, images), parity
-    # Non-split odd case: module over the preimage, central element acts by -1.
-    preimage = group.preimage
-    images_by_gen = {preimage.element_index(lift): img for lift, img in zip(lifts, images)}
-    minus = -SL2Elem.identity(group.n)
-    neg_one = CycNum.from_int(group.n, -1)
-    zero = CycNum.zero(group.n)
-    minus_img = [
-        [neg_one if i == j else zero for j in range(dim)] for i in range(dim)
-    ]
-    images_by_gen[preimage.element_index(minus)] = minus_img
-    gen_images = [images_by_gen[gi] for gi in preimage.generator_indices]
-    module = Representation.from_generator_images(preimage, dim, gen_images)
-    if not module.is_odd_twist():
-        raise InvalidStructure("odd block failed the central minus-one property")
-    return module, parity
+    if parity == "odd_twist":
+        # The preimage's generators are the representatives followed by -I.
+        images.append(mat_neg(identity_matrix(group.n, dim)))
+    return Representation.from_generator_images(module_group, dim, images), parity
 
 
 def classify_with_certificates(
@@ -533,9 +535,15 @@ def classify_with_certificates(
 ) -> tuple[CanonicalForm, dict]:
     """Full pipeline with exact certificates for every stage.
 
-    Every averaging stage also carries its data (the averaged splitting and
-    the action matrices), so the averaging identities can be re-verified
-    from serialized output alone.
+    With U_plus from the Birkhoff factorization, the action
+    U_plus^-1(g z) a_g(z) U_plus(z) is block upper triangular (the cut check
+    certifies it), and the module of each degree block is read off its
+    diagonal block.  Averaging certifies that the filtration splits
+    equivariantly: from the lowest block up, the leading submatrix holding
+    the blocks not yet split off is averaged into a holomorphic splitting of
+    its lowest block, checked exactly.  Every averaging stage also carries
+    its data (the averaged splitting and the action matrices), so the
+    averaging identities can be re-verified from serialized output alone.
     """
     report = validate_equivariance(bundle, level=validate_level)
     if not report.ok:
@@ -573,27 +581,26 @@ def classify_with_certificates(
                     f"the degree filtration (generator {t}, cut {cut})"
                 )
     certificates["hn_blocks"] = [{"cuts": cuts, "preserved": True}]
+    spans = [range(lo, hi) for lo, hi in zip([0] + cuts, cuts + [bundle.rank])]
     # Split the filtration from the lowest block up, one averaging per step.
-    gamma = group.splitting() if isinstance(group, PGLGroup) else None
-    block_gen_actions: list[list[RatMat]] = []
-    cur_action = gen_action
-    cur_blocks = list(blocks)
-    while len(cur_blocks) > 1:
-        r_cur = sum(m for _, m in cur_blocks)
-        delta, r_bot = cur_blocks[-1]
-        k = r_cur - r_bot
-        top, bottom, every = range(k), range(k, r_cur), range(r_cur)
-        quot_action = [a.submatrix(bottom, bottom) for a in cur_action]
-        table = _action_table(group, r_cur, cur_action)
-        identity = RatMat.identity(n, r_cur)
-        inclusion = identity.submatrix(every, bottom)
+    # Leading submatrices of block upper triangular matrices multiply like
+    # the matrices, so each step's action table is a leading block of one.
+    table = _action_table(group, bundle.rank, gen_action) if len(blocks) > 1 else []
+    for j in range(len(blocks) - 1, 0, -1):
+        delta, r_bot = blocks[j]
+        every, bottom = range(spans[j].stop), spans[j]
+        cur_action = [a.submatrix(every, every) for a in gen_action]
+        quot_action = [a.submatrix(bottom, bottom) for a in gen_action]
+        identity = RatMat.identity(n, len(every))
         psi_tilde = _average(
-            group, table, inclusion, [a.submatrix(bottom, bottom) for a in table]
+            group,
+            [a.submatrix(every, every) for a in table],
+            identity.submatrix(every, bottom),
+            [a.submatrix(bottom, bottom) for a in table],
         )
         # Certificates: polynomial entries with the right degree bounds, unit
         # bottom block, and exact equivariance.
-        degrees_rows = [d for d, m in cur_blocks for _ in range(m)]
-        for row_degree, row in zip(degrees_rows, psi_tilde.entries):
+        for row_degree, row in zip(fact.degrees, psi_tilde.entries):
             for e in row:
                 if not e.is_polynomial():
                     raise InvalidStructure("averaged splitting is not holomorphic")
@@ -608,29 +615,15 @@ def classify_with_certificates(
             "equivariant": True,
             "data": {
                 "generators": list(gens),
-                "action": list(cur_action),
-                "quotient_action": list(quot_action),
+                "action": cur_action,
+                "quotient_action": quot_action,
                 "psi_tilde": psi_tilde,
             },
         })
-        # Change frame so the complement becomes a coordinate block: the
-        # frame is [I_k | psi_tilde] and, psi_tilde having unit bottom block,
-        # its inverse is 2I - frame.
-        frame = identity.submatrix(every, top).hstack(psi_tilde)
-        frame_inv = identity + identity - frame
-        new_action = []
-        for g, a_mat in zip(gens, cur_action):
-            transformed = frame_inv.compose_moebius(MoebiusMap(g)) * a_mat * frame
-            if not transformed.submatrix(top, bottom).is_zero():
-                raise InvalidStructure("frame change failed to decouple the block")
-            new_action.append(transformed.submatrix(top, top))
-        block_gen_actions.append(quot_action)
-        cur_action = new_action
-        cur_blocks = cur_blocks[:-1]
-    block_gen_actions.append(cur_action)
-    block_gen_actions.reverse()  # now aligned with blocks (descending degree)
+    gamma = group.splitting() if isinstance(group, PGLGroup) else None
     entries = []
-    for (degree, _mult), block_action in zip(blocks, block_gen_actions):
+    for (degree, _mult), span in zip(blocks, spans):
+        block_action = [a.submatrix(span, span) for a in gen_action]
         module, parity = _module_from_block(group, degree, block_action, gamma)
         entries.append(CanonicalEntry(degree, module, parity))
         certificates["modules"].append(
@@ -665,20 +658,33 @@ def extract_module(bundle: EquivariantBundle) -> Representation:
 
 
 def _lift_for_entry(
-    group: GroupLike, t: int, degree: int, parity: str, gamma: Optional[SplittingHom]
+    group: GroupLike, t: int, degree: int, gamma: Optional[SplittingHom]
 ) -> SL2Elem:
-    """The SL(2, C) lift of generator t for a summand of this degree and parity.
+    """The SL(2, C) lift of generator t for a summand of this degree.
 
-    Odd plain summands over a projective group take gamma's lift of the
-    generator's element, the one its spanning-tree extension assigns.
+    Odd summands over a split projective group take gamma's lift of the
+    generator's element, the one its spanning-tree extension assigns; every
+    other summand takes the generator's own matrix.
     """
-    if isinstance(group, FiniteMatrixGroup):
-        return group.elements[group.generator_indices[t]]
-    if degree % 2 == 0 or parity == "odd_twist":
-        return group.generator_reps[t]
-    if gamma is None:
-        raise InvalidStructure("odd plain entry over a non-split projective group")
-    return gamma.lift_of(group, group.generator_indices[t])
+    if isinstance(group, PGLGroup) and degree % 2 and gamma is not None:
+        return gamma.lift_of(group, group.generator_indices[t])
+    return group.elements[group.generator_indices[t]]
+
+
+def check_entries(cf: CanonicalForm, group: GroupLike, gamma: Optional[SplittingHom]) -> None:
+    """Every entry carries the parity and module group summand_rule gives its degree.
+
+    The module group may list its elements in another order: images are
+    looked up by element, in the module's own group.
+    """
+    for entry in cf.entries:
+        parity, module_group = summand_rule(group, entry.degree, gamma)
+        if entry.parity != parity:
+            raise ParityObstruction(
+                f"a degree-{entry.degree} summand over this group must be tagged {parity!r}"
+            )
+        if entry.module.group.index.keys() != module_group.index.keys():
+            raise MalformedInput(f"the degree-{entry.degree} module lives over another group")
 
 
 def build_from_canonical(
@@ -686,41 +692,13 @@ def build_from_canonical(
 ) -> EquivariantBundle:
     """Block-diagonal model bundle with the tensor-product action.
 
-    Parity rules: over a matrix group every entry must be plain.  Over a
-    projective group whose extension splits, entries are plain (odd degrees
-    use the splitting lifts).  Over a non-split projective group, even
-    degrees take plain modules and odd degrees require odd-twist modules
-    over the preimage.
+    Each entry must follow summand_rule; gamma defaults to the group's own
+    splitting when it has one.
     """
     n = group.n
     if isinstance(group, PGLGroup) and gamma is None:
         gamma = group.splitting()
-    for entry in cf.entries:
-        if isinstance(group, FiniteMatrixGroup):
-            if entry.parity != "plain":
-                raise ParityObstruction("odd-twist entries require a projective group")
-            if entry.module.group.elements != group.elements:
-                raise MalformedInput("module group does not match the acting group")
-        else:
-            if entry.degree % 2 == 0 or gamma is not None:
-                if entry.parity != "plain":
-                    raise ParityObstruction(
-                        "odd-twist entries only occur in the non-split odd case"
-                    )
-                if entry.module.group.elements != group.elements:
-                    raise MalformedInput("module group does not match the acting group")
-            else:
-                if entry.parity != "odd_twist":
-                    raise ParityObstruction(
-                        "odd degree over a non-split projective group requires an "
-                        "odd-twist module over the preimage"
-                    )
-                if entry.module.group.elements != group.preimage.elements:
-                    raise MalformedInput("odd-twist module must live over the preimage")
-                if not entry.module.is_odd_twist():
-                    raise InvalidStructure(
-                        "odd-twist module must send the central element to minus one"
-                    )
+    check_entries(cf, group, gamma)
     rank = cf.rank()
     one = CycNum.one(n)
     diag_entries = []
@@ -734,12 +712,9 @@ def build_from_canonical(
         ]
         offset = 0
         for entry in cf.entries:
-            lift = _lift_for_entry(group, t, entry.degree, entry.parity, gamma)
+            lift = _lift_for_entry(group, t, entry.degree, gamma)
             factor = automorphy_factor(lift, entry.degree)
-            if isinstance(group, PGLGroup) and entry.parity == "odd_twist":
-                img = entry.module.image(entry.module.group.element_index(lift))
-            else:
-                img = entry.module.image(group.generator_indices[t])
+            img = entry.module.image(entry.module.group.element_index(lift))
             dim = entry.module.dim
             for i in range(dim):
                 for j in range(dim):

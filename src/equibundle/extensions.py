@@ -68,8 +68,6 @@ class PGLGroup(TabularGroup):
     def element_index(self, g: SL2Elem) -> int:
         return super().element_index(sign_normalize(g))
 
-    coset_index = element_index
-
     def minus_identity_index(self) -> Optional[int]:
         return None
 

@@ -20,6 +20,7 @@ from .equivariant import (
     CanonicalEntry,
     CanonicalForm,
     EquivariantBundle,
+    summand_rule,
 )
 from .errors import MathRejection, SingularMatrix
 from .extensions import PGLGroup
@@ -261,20 +262,16 @@ def random_canonical_form(
     max_dim: int = 3,
     max_entries: int = 2,
 ) -> CanonicalForm:
-    """Random canonical form respecting the parity rules of the group."""
+    """Random canonical form whose entries follow summand_rule over the group."""
     n_entries = rng.randint(1, max_entries)
     degrees = sorted(rng.sample(range(min_deg, max_deg + 1), n_entries), reverse=True)
-    non_split = isinstance(group, PGLGroup) and group.splitting() is None
+    gamma = group.splitting() if isinstance(group, PGLGroup) else None
     entries = []
     for d in degrees:
-        if non_split and d % 2 != 0:
-            dims = achievable_dims(group.preimage, "odd_twist", max_dim)
-            module = random_module(rng, group.preimage, rng.choice(dims), parity="odd_twist")
-            entries.append(CanonicalEntry(d, module, "odd_twist"))
-        else:
-            dims = achievable_dims(group, "plain", max_dim)
-            module = random_module(rng, group, rng.choice(dims), parity="plain")
-            entries.append(CanonicalEntry(d, module, "plain"))
+        parity, module_group = summand_rule(group, d, gamma)
+        dims = achievable_dims(module_group, parity, max_dim)
+        module = random_module(rng, module_group, rng.choice(dims), parity=parity)
+        entries.append(CanonicalEntry(d, module, parity))
     return CanonicalForm(entries)
 
 

@@ -11,7 +11,7 @@ projective group itself.
 from __future__ import annotations
 
 from .cyclotomic import CycNum
-from .equivariant import CanonicalForm, EquivariantBundle, _lift_for_entry
+from .equivariant import CanonicalForm, EquivariantBundle, _lift_for_entry, check_entries
 from .errors import InvalidStructure, MalformedInput
 from .extensions import PGLGroup, SplittingHom
 from .linalg import kron, mat_eq, rref
@@ -26,30 +26,28 @@ def sections_module(cf: CanonicalForm, group, gamma: SplittingHom | None = None)
     """Direct sum over nonnegative-degree entries of Sym^d tensored with the module."""
     if isinstance(group, PGLGroup) and gamma is None:
         gamma = group.splitting()
+    check_entries(cf, group, gamma)
     total = Representation.zero_module(group)
     for entry in cf.entries:
         d = entry.degree
         if d < 0:
             continue
+        module = entry.module
         gen_images = []
         for t in range(len(group.generator_indices)):
-            lift = _lift_for_entry(group, t, entry.degree, entry.parity, gamma)
-            sym = sym_power_matrix(lift, d)
-            if isinstance(group, PGLGroup) and entry.parity == "odd_twist":
-                mod_img = entry.module.image(entry.module.group.element_index(lift))
+            lift = _lift_for_entry(group, t, d, gamma)
+            mod_img = module.image(module.group.element_index(lift))
+            block = kron(sym_power_matrix(lift, d), mod_img)
+            if entry.parity == "odd_twist":
                 # Central cancellation: the minus lift must give the same block.
                 other = kron(
                     sym_power_matrix(-lift, d),
-                    entry.module.image(entry.module.group.element_index(-lift)),
+                    module.image(module.group.element_index(-lift)),
                 )
-                block = kron(sym, mod_img)
                 if not mat_eq(block, other):
                     raise InvalidStructure("central signs failed to cancel")
-            else:
-                mod_img = entry.module.image(group.generator_indices[t])
-                block = kron(sym, mod_img)
             gen_images.append(block)
-        dim = (d + 1) * entry.module.dim
+        dim = (d + 1) * module.dim
         piece = Representation.from_generator_images(group, dim, gen_images)
         total = total.direct_sum(piece)
     return total

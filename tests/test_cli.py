@@ -6,11 +6,13 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from equibundle import serialize
 from equibundle.bundle import TransitionCocycle
 from equibundle.cli import main
-from equibundle.equivariant import build_from_canonical
-from equibundle.matgroup import catalog
+from equibundle.equivariant import CanonicalEntry, CanonicalForm, build_from_canonical
+from equibundle.matgroup import catalog, standard_representation, trivial_representation
 from equibundle.plant import random_canonical_form
 from equibundle.ratfun import RatFun, RatMat
 from equibundle.cyclotomic import CycNum
@@ -34,6 +36,23 @@ def test_catalog_command(tmp_path, capsys):
     assert out.exists()
     saved = json.loads(out.read_text())
     assert saved["group"]["modulus"] == 12
+
+
+def test_catalog_modulus_override(capsys):
+    code, report = run_cli(
+        capsys, "catalog", "--family", "cyclic", "--n", "4", "--modulus-override", "12"
+    )
+    assert code == 0
+    assert (report["order"], report["required_modulus"], report["modulus"]) == (4, 4, 12)
+    assert report["group"]["modulus"] == 12
+    code, report = run_cli(
+        capsys, "catalog", "--family", "cyclic", "--n", "4", "--modulus-override", "7"
+    )
+    assert code == 2
+    assert report == {
+        "error": "malformed_input",
+        "detail": "override modulus 7 is not a multiple of 4",
+    }
 
 
 def test_split_command(tmp_path, capsys):
@@ -154,15 +173,37 @@ def test_iso_command(tmp_path, capsys):
 
 def test_sections_command(tmp_path, capsys):
     g = catalog("cyclic", 3).group()
-    from equibundle.equivariant import CanonicalEntry, CanonicalForm
-    from equibundle.matgroup import trivial_representation
-
     cf = CanonicalForm([CanonicalEntry(1, trivial_representation(g))])
     path = tmp_path / "cf.json"
     path.write_text(serialize.dumps(serialize.canonical_form_to_json(cf)))
     code, report = run_cli(capsys, "sections", "--input", str(path))
     assert code == 0
     assert report["dimension"] == 2
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_sections_rejects_a_module_over_another_group(tmp_path, order):
+    # The acting group is the first plain entry's; the second module lives
+    # over a cyclic group of the same modulus, with other elements.
+    bd2 = catalog("binary_dihedral", 2).group()
+    cyclic = catalog("cyclic", order).group(modulus=4)
+    cf = CanonicalForm(
+        [
+            CanonicalEntry(1, standard_representation(bd2)),
+            CanonicalEntry(0, trivial_representation(cyclic)),
+        ]
+    )
+    path = tmp_path / "cf.json"
+    path.write_text(serialize.dumps(serialize.canonical_form_to_json(cf)))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "equibundle.cli", "sections", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert fresh.returncode == 2, fresh.stderr
+    assert json.loads(fresh.stdout)["error"] == "malformed_input"
+    assert "Traceback" not in fresh.stderr
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):

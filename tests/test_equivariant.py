@@ -565,6 +565,27 @@ def test_one_dim_reps_with_redundant_generators():
         assert [r.images for r in got] == [r.images for r in want]
 
 
+def test_classify_rejects_a_non_equivariant_averaged_splitting(monkeypatch):
+    # Adding a constant to the top-left entry keeps psi_tilde a holomorphic
+    # right inverse within the degree bounds, so only the intertwining
+    # identity can catch it.
+    g = catalog("binary_dihedral", 2).group()
+    triv = trivial_representation(g)
+    cf = CanonicalForm([CanonicalEntry(1, triv), CanonicalEntry(0, triv)])
+    bundle = build_from_canonical(cf, g)
+    average = equivariant._average
+
+    def perturbed(*args):
+        psi = average(*args)
+        rows = [list(row) for row in psi.entries]
+        rows[0][0] = rows[0][0] + RatFun.one(psi.n)
+        return RatMat(rows)
+
+    monkeypatch.setattr(equivariant, "_average", perturbed)
+    with pytest.raises(InvalidStructure, match="averaged splitting is not equivariant"):
+        classify_with_certificates(bundle)
+
+
 def test_classify_rejects_invalid_action():
     g = c4_group()
     e = natural_structure(2, g)

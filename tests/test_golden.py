@@ -33,20 +33,23 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _planted(group, seed: int):
+def _planted(group, seed: int, max_entries: int):
     rng = random.Random(seed)
-    cf = random_canonical_form(rng, group, min_deg=-2, max_deg=2, max_dim=2)
+    cf = random_canonical_form(
+        rng, group, min_deg=-2, max_deg=2, max_dim=2, max_entries=max_entries
+    )
     planted = conjugated_modules(rng, cf)
     return cf, random_retrivialization(rng, build_from_canonical(planted, group))
 
 
-# (group, seed, planted (degree, parity) pairs, classify stdout digest,
-#  one digest per serialized averaged splitting)
+# (group, seed, max_entries, planted (degree, parity, dim) triples, classify
+#  stdout digest, one digest per serialized averaged splitting)
 CASES = {
     "sl2_two_blocks": (
         lambda: catalog("binary_dihedral", 2).group(),
         0,
-        [(1, "plain"), (-2, "plain")],
+        2,
+        [(1, "plain", 2), (-2, "plain", 2)],
         "b2cb6b479abc64253a8bd5499bda17da6b47ce035542604c3f5a1e3a107707f6",
         ["772a62ee7224ddec5696075d39ad45efc692286437f4b5b6f7e02b967bf41665"],
     ),
@@ -54,33 +57,49 @@ CASES = {
     "binary_tetrahedral_two_blocks": (
         lambda: catalog("binary_tetrahedral").group(),
         5,
-        [(0, "plain"), (-2, "plain")],
+        2,
+        [(0, "plain", 2), (-2, "plain", 1)],
         "27f808c5a74068956f0a71633d42f34b8d9b40d4143a15a1c313fe0b49d2a5ce",
         ["cffed14a0f695222ce135d2044b2402fb0c4e5bd13a3a92b4ff4c94731173d01"],
     ),
     "pgl_split_odd": (
         lambda: pgl_group(catalog("cyclic", 6).generators),
         0,
-        [(1, "plain"), (-2, "plain")],
+        2,
+        [(1, "plain", 2), (-2, "plain", 2)],
         "8aad75cfe519348c7c56d49a7f0fa22880d3dc81e0cb00f65b3261e511bd2bd8",
         ["a9a67d0ca27e48dc6c51f57e8c2720866d1ede44407835860a565137ce013407"],
     ),
     "pgl_nonsplit_odd_twist": (
         lambda: pgl_group(catalog("binary_dihedral", 2).generators),
         0,
-        [(1, "odd_twist"), (-2, "plain")],
+        2,
+        [(1, "odd_twist", 2), (-2, "plain", 2)],
         "71818abbe9667652053d8512218ba9e708ca91dba995164ffce3e14fec1d45f0",
         ["bd07a154483ab16d52ff0cbb24399cd9a9a149f860f30b6331f8e884e299ca54"],
+    ),
+    # Three blocks, so two averaging stages; the second works on the leading
+    # 3x3 block of the action, which no two-block case reaches.
+    "pgl_nonsplit_three_blocks": (
+        lambda: pgl_group(catalog("binary_dihedral", 2).generators),
+        5,
+        3,
+        [(2, "plain", 1), (1, "odd_twist", 2), (0, "plain", 1)],
+        "46b5fe35d0e6133d47ef59b6da9ccb9edda291e88bf93f7220dd87b992f84cc5",
+        [
+            "2d01322c1194fd85c610b2630d5103be220c53253b2c87281bdf77b27d7779ce",
+            "d1a1e58bca69b095c1a827c5874bfbd2698521363cade4e2daae21fab26975bb",
+        ],
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_classify_output_bytes_pinned(name, tmp_path, capsys):
-    make_group, seed, planted_entries, stdout_sha, psi_shas = CASES[name]
+    make_group, seed, max_entries, planted_entries, stdout_sha, psi_shas = CASES[name]
     group = make_group()
-    cf, bundle = _planted(group, seed)
-    assert [(e.degree, e.parity) for e in cf.entries] == planted_entries
+    cf, bundle = _planted(group, seed, max_entries)
+    assert [(e.degree, e.parity, e.module.dim) for e in cf.entries] == planted_entries
     path = tmp_path / "bundle.json"
     path.write_text(serialize.dumps(serialize.bundle_to_json(bundle)))
     assert main(["classify", "--input", str(path)]) == 0

@@ -113,3 +113,19 @@ def test_central_cancellation_well_defined_on_pgl():
     sec = sections_module(cf, h)
     assert sec.group is h
     assert sec.dim == 4
+
+
+def test_module_group_may_list_its_elements_in_another_order():
+    # The catalog group is the preimage of its projective image, but its
+    # breadth-first order differs; images are looked up by element.
+    g = catalog("binary_dihedral", 2).group()
+    h = pgl_group([g.elements[i] for i in g.generator_indices])
+    assert g.elements != h.preimage.elements
+    assert set(g.elements) == set(h.preimage.elements)
+    forms = [
+        CanonicalForm([CanonicalEntry(1, standard_representation(pre), "odd_twist")])
+        for pre in (g, h.preimage)
+    ]
+    assert sections_module(forms[0], h).images == sections_module(forms[1], h).images
+    bundles = [build_from_canonical(cf, h) for cf in forms]
+    assert bundles[0].gen_action == bundles[1].gen_action
