@@ -17,10 +17,13 @@ sections of maximal twist split off one line bundle at a time, with
 left-Hermite compression keeping entry degrees bounded by the determinant
 exponent throughout.  Sections are Poly vectors in w with their transition
 products as RatFun vectors in z, so the twist ladder and the clearing of a
-peeled row use the same Laurent arithmetic as RatMat.  A peel calls
-RatMat.inv only on the two completions and the two factors of the
-recursion; the row-clearing, block and permutation matrices are inverted by
-their shape.
+peeled row use the same Laurent arithmetic as RatMat.  Every factor is built
+from unimodular steps (xgcd 2 x 2 steps, Hermite row operations, unit rows,
+block and permutation matrices) whose inverses are written down beside them,
+so the engine inverts no matrix by elimination and takes no determinant.
+birkhoff_factor certifies the result exactly: the residual T = U_plus D
+U_minus, and U_plus U_plus^-1 = U_minus U_minus^-1 = I with all four
+factors in their rings.
 """
 
 from __future__ import annotations
@@ -89,15 +92,19 @@ class TransitionCocycle:
 class BirkhoffFactorization:
     """T = U_plus * D * U_minus with monomial diagonal D and sorted degrees.
 
-    residual_zero and in_rings carry the results of the checks that
-    birkhoff_factor made (None until checked), so a report reads them instead
-    of forming the product again.
+    Each factor comes with its inverse.  residual_zero and in_rings carry the
+    results of the checks that birkhoff_factor made (None until checked), so
+    a report reads them instead of forming the product again.
     """
 
-    def __init__(self, u_plus: RatMat, degrees: tuple[int, ...], u_minus: RatMat):
+    def __init__(
+        self, u_plus: RatMat, u_plus_inv: RatMat, degrees: tuple[int, ...], u_minus: RatMat, u_minus_inv: RatMat
+    ):
         self.u_plus = u_plus
+        self.u_plus_inv = u_plus_inv
         self.degrees = tuple(degrees)
         self.u_minus = u_minus
+        self.u_minus_inv = u_minus_inv
         self.n = u_plus.n
         self.residual_zero: Optional[bool] = None
         self.in_rings: Optional[bool] = None
@@ -115,7 +122,15 @@ class BirkhoffFactorization:
         return self.product() == cocycle.transition
 
     def factors_in_rings(self) -> bool:
-        return _is_unimodular_z(self.u_plus) and _is_unimodular_w(self.u_minus)
+        """Exact unimodularity certificate, without determinants.
+
+        U_plus and its inverse lie over C[z], U_minus and its inverse over
+        C[1/z], and each product is the identity.
+        """
+        return all(
+            _in_ring(m, sign) and _in_ring(m_inv, sign) and (m * m_inv).is_identity()
+            for m, m_inv, sign in ((self.u_plus, self.u_plus_inv, 1), (self.u_minus, self.u_minus_inv, -1))
+        )
 
     def __repr__(self) -> str:
         return f"BirkhoffFactorization(degrees={self.degrees})"
@@ -156,25 +171,13 @@ def _laurent_data(f: RatFun) -> tuple[int, list[CycNum]]:
     return v, list(p.coeffs)
 
 
-def _is_unimodular_z(m: RatMat) -> bool:
-    if not m.is_polynomial():
-        return False
-    d = m.det()
-    return d.is_polynomial() and d.num.is_const() and not d.is_zero()
-
-
-def _is_unimodular_w(m: RatMat) -> bool:
-    for row in m.entries:
-        for e in row:
-            if e.is_zero():
-                continue
-            if not e.is_laurent():
-                return False
-            _, hi = e.laurent_bounds()
-            if hi > 0:
-                return False
-    d = m.det()
-    return not d.is_zero() and d.is_polynomial() and d.num.is_const()
+def _in_ring(m: RatMat, sign: int) -> bool:
+    """Every entry lies in C[z^sign]: C[z] for sign 1, C[1/z] for sign -1."""
+    return all(
+        e.is_laurent() and min(sign * x for x in e.laurent_bounds()) >= 0
+        for row in m.entries
+        for e in row
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +291,29 @@ class _SectionSpace:
 # Left Hermite compression
 
 
-def _left_hermite(mat: list[list[Poly]]) -> tuple[RatMat, list[list[Poly]]]:
+def _left_hermite(mat: list[list[Poly]]) -> tuple[RatMat, RatMat, list[list[Poly]]]:
     """Row-reduce a polynomial matrix to upper-triangular Hermite form.
 
-    Returns (L, H) with mat = L * H, L unimodular over C[z].  When the
+    Returns (L, L^-1, H) with mat = L * H, L unimodular over C[z].  When the
     determinant is a monomial the pivots come out as monic monomials and all
     off-diagonal entries are reduced below the pivot degree, which bounds
-    every entry degree by the determinant exponent.
+    every entry degree by the determinant exponent.  The reduction runs on
+    [mat | I], so the right half ends as L^-1.
     """
     n = mat[0][0].n
     size = len(mat)
-    h = [list(row) for row in mat]
+    zero, one = Poly.zero(n), Poly.one(n)
+    h = [list(row) + [one if i == j else zero for j in range(size)] for i, row in enumerate(mat)]
     # mat = L * h throughout: each row operation on h is undone on L's columns.
-    one, zero = RatFun.one(n), RatFun.zero(n)
     l_rows = [[one if i == j else zero for j in range(size)] for i in range(size)]
 
     def row_axpy(dst: int, src: int, q: Poly) -> None:
-        # h[dst] -= q * h[src]; L[:, src] += L[:, dst] * q
-        h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
-        qf = RatFun.from_poly(q)
+        # h[dst] -= q * h[src]; L[:, src] += L[:, dst] * q.  Half of [mat | I]
+        # starts at zero, so zero entries of h[src] are skipped.
+        neg_q = -q
+        h[dst] = [a if b.is_zero() else a + neg_q * b for a, b in zip(h[dst], h[src])]
         for row in l_rows:
-            row[src] = row[src] + row[dst] * qf
+            row[src] = row[src] + row[dst] * q
 
     def row_swap(i: int, j: int) -> None:
         h[i], h[j] = h[j], h[i]
@@ -319,9 +324,8 @@ def _left_hermite(mat: list[list[Poly]]) -> tuple[RatMat, list[list[Poly]]]:
         # h[i] *= 1/c; L[:, i] *= c
         c_inv = c.inv()
         h[i] = [a.scale(c_inv) for a in h[i]]
-        cf = RatFun.const(c)
         for row in l_rows:
-            row[i] = row[i] * cf
+            row[i] = row[i].scale(c)
 
     for col in range(size):
         while True:
@@ -344,11 +348,12 @@ def _left_hermite(mat: list[list[Poly]]) -> tuple[RatMat, list[list[Poly]]]:
             if h[i][col].degree() >= pivot.degree():
                 q = h[i][col] // pivot
                 row_axpy(i, col, q)
-    return RatMat(l_rows), h
+    l_inv = _poly_matrix_to_ratmat([row[size:] for row in h])
+    return _poly_matrix_to_ratmat(l_rows), l_inv, [row[:size] for row in h]
 
 
-def _compressed(T: RatMat) -> tuple[RatMat, RatMat, int]:
-    """Return (T_h, L, shift) with T = z^shift * L * T_h, T_h compressed poly.
+def _compressed(T: RatMat) -> tuple[RatMat, RatMat, RatMat, int]:
+    """Return (T_h, L, L^-1, shift) with T = z^shift * L * T_h, T_h compressed poly.
 
     Strips the scalar valuation, then compresses by left Hermite reduction.
     """
@@ -358,27 +363,37 @@ def _compressed(T: RatMat) -> tuple[RatMat, RatMat, int]:
     )
     z_neg = RatFun.monomial(CycNum.one(n), -shift)
     poly_rows = [[(e * z_neg).as_poly() for e in row] for row in T.entries]
-    l_h, h_rows = _left_hermite(poly_rows)
-    return _poly_matrix_to_ratmat(h_rows), l_h, shift
+    l_h, l_h_inv, h_rows = _left_hermite(poly_rows)
+    return _poly_matrix_to_ratmat(h_rows), l_h, l_h_inv, shift
 
 
 # ---------------------------------------------------------------------------
 # Unimodular completion of a coprime polynomial column
 
 
-def _completion_from_column(column: list[Poly]) -> list[list[Poly]]:
-    """A unimodular U with U * column = e1; gcd of the entries must be a unit."""
+def _completion_from_column(column: list[Poly]) -> tuple[list[list[Poly]], list[list[Poly]]]:
+    """(U, U^-1) with U unimodular and U * column = e1; the entries' gcd must be a unit.
+
+    U is a product of 2 x 2 steps of determinant 1 and a final scaling of
+    row 0; U^-1 applies each step's inverse to its columns.
+    """
     n = column[0].n
     size = len(column)
     zero, one = Poly.zero(n), Poly.one(n)
     u = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    u_inv = [list(row) for row in u]
     cur = list(column)
 
     def apply_2x2(i: int, j: int, a11: Poly, a12: Poly, a21: Poly, a22: Poly) -> None:
-        # rows i, j <- (a11 ri + a12 rj, a21 ri + a22 rj); determinant must be a unit
+        # rows i, j <- (a11 ri + a12 rj, a21 ri + a22 rj); determinant 1, so the
+        # inverse step is [[a22, -a12], [-a21, a11]], applied to U^-1's columns
         ui, uj = u[i], u[j]
         u[i] = [a11 * x + a12 * y for x, y in zip(ui, uj)]
         u[j] = [a21 * x + a22 * y for x, y in zip(ui, uj)]
+        for row in u_inv:
+            x, y = row[i], row[j]
+            row[i] = a22 * x - a21 * y
+            row[j] = a11 * y - a12 * x
         ci, cj = cur[i], cur[j]
         cur[i] = a11 * ci + a12 * cj
         cur[j] = a21 * ci + a22 * cj
@@ -391,9 +406,12 @@ def _completion_from_column(column: list[Poly]) -> list[list[Poly]]:
         apply_2x2(0, i, x, y, -(b.divexact(g)), a.divexact(g))
     if cur[0].is_zero() or cur[0].degree() != 0:
         raise MathRejection("column entries are not coprime; no unimodular completion")
-    c_inv = cur[0].coeff(0).inv()
+    c = cur[0].coeff(0)
+    c_inv = c.inv()
     u[0] = [p.scale(c_inv) for p in u[0]]
-    return u
+    for row in u_inv:
+        row[0] = row[0].scale(c)
+    return u, u_inv
 
 
 def _poly_matrix_to_ratmat(rows: list[list[Poly]]) -> RatMat:
@@ -439,10 +457,12 @@ def _sorting_permutation(exps: list[int]) -> list[int]:
     return sorted(range(len(exps)), key=lambda i: (-exps[i], i))
 
 
-def _birkhoff_core(T: RatMat, k_det: int) -> tuple[RatMat, list[int], RatMat]:
+def _birkhoff_core(T: RatMat, k_det: int) -> tuple[RatMat, RatMat, list[int], RatMat, RatMat]:
     """Recursive engine: T = L * diag(z^degrees) * R, degrees nonincreasing.
 
-    det T = c z^k_det; the callers know k_det, so it is not recomputed.
+    Returns (L, L^-1, degrees, R, R^-1); each inverse is built from the
+    inverses of the steps that build its factor.  det T = c z^k_det; the
+    callers know k_det, so it is not recomputed.
     """
     n = T.n
     r = T.rows
@@ -450,12 +470,9 @@ def _birkhoff_core(T: RatMat, k_det: int) -> tuple[RatMat, list[int], RatMat]:
         unit = laurent_is_unit(T.entries[0][0])
         assert unit is not None
         c, k = unit
-        return (
-            RatMat([[RatFun.const(c)]]),
-            [k],
-            RatMat.identity(n, 1),
-        )
-    h_mat, l_h, shift = _compressed(T)
+        identity = RatMat.identity(n, 1)
+        return RatMat([[RatFun.const(c)]]), RatMat([[RatFun.const(c.inv())]]), [k], identity, identity
+    h_mat, l_h, l_h_inv, shift = _compressed(T)
     k_h = k_det - r * shift
     if all(
         h_mat[i, j].is_zero() or (i == j and h_mat[i, j].num.is_monomial())
@@ -465,42 +482,34 @@ def _birkhoff_core(T: RatMat, k_det: int) -> tuple[RatMat, list[int], RatMat]:
         exps = [h_mat[i, i].num.degree() + shift for i in range(r)]
         perm = _sorting_permutation(exps)
         zero, one = RatFun.zero(n), RatFun.one(n)
-        p_right = RatMat(
-            [[one if perm[j] == i else zero for j in range(r)] for i in range(r)]
-        )
+        p_right = RatMat([[one if perm[j] == i else zero for j in range(r)] for i in range(r)])
         # H = P * D_sorted * P^-1, and the permutation P has inverse P^T.
+        p_left = RatMat(zip(*p_right.entries))
         degrees = [exps[perm[j]] for j in range(r)]
-        return l_h * p_right, degrees, RatMat(zip(*p_right.entries))
+        return l_h * p_right, p_left * l_h_inv, degrees, p_left, p_right
     # Peel off a line subbundle of maximal degree.
     d1, s0, s1 = _max_degree_section(h_mat, k_h)
     if all(p.is_zero() for p in s0) or all(p.is_zero() for p in s1):
         raise MathRejection("degenerate maximal section")
-    u_rows = _completion_from_column(s0)
-    v_rows_w = _completion_from_column(s1)
-    u_mat = _poly_matrix_to_ratmat(u_rows)
-    v_mat = _w_matrix_to_ratmat(v_rows_w)
+    u_mat, u_inv = (_poly_matrix_to_ratmat(rows) for rows in _completion_from_column(s0))
+    v_mat, v_inv = (_w_matrix_to_ratmat(rows) for rows in _completion_from_column(s1))
     z_d1 = RatFun.monomial(CycNum.one(n), -d1)
-    m_mat = u_mat * h_mat.scale(z_d1) * v_mat.inv()
+    m_mat = u_mat * h_mat.scale(z_d1) * v_inv
     # First column must be e1 by construction.
-    for i in range(r):
-        expected_one = i == 0
-        e = m_mat.entries[i][0]
-        if expected_one and not e.is_one():
-            raise MathRejection("peeled column is not normalized")
-        if not expected_one and not e.is_zero():
-            raise MathRejection("peeled column is not normalized")
+    if [row[0] for row in m_mat.entries] != [RatFun.one(n)] + [RatFun.zero(n)] * (r - 1):
+        raise MathRejection("peeled column is not normalized")
     sub = m_mat.submatrix(range(1, r), range(1, r))
     # U and V have constant determinants, so det m_mat = c z^(k_h - r d1), and
     # its first column is e1, so sub has the same determinant.
-    l2, degs2, r2 = _birkhoff_core(sub, k_h - r * d1)
-    m_row = [m_mat.entries[0][j] for j in range(1, r)]
-    r2_inv = r2.inv()
-    m_prime = RatMat([m_row]) * r2_inv
-    # Clear the remaining row against the corner 1 and the pivots z^e: the
-    # exponents >= 1 of entry idx go to the left, z^-e_deg times, and the
-    # rest to the right.
+    l2, l2_inv, degs2, r2, r2_inv = _birkhoff_core(sub, k_h - r * d1)
     if any(e > 0 for e in degs2):
         raise MathRejection("subbundle degree exceeds the peeled degree")
+    m_prime = m_mat.submatrix([0], range(1, r)) * r2_inv
+    # Clear the remaining row against the corner 1 and the pivots z^e: the
+    # exponents >= 1 of entry idx go to the left, z^-e_deg times, and the
+    # rest to the right.  With block_l = 1 + l2 and block_r = 1 + r2 (block
+    # diagonal), m_mat = block_l _unit_row(-left_row) Dfull _unit_row(-right_row)
+    # block_r; birkhoff_factor's residual checks it.
     left_row = [RatFun.zero(n)] * (r - 1)
     right_row = list(left_row)
     for idx, e_deg in enumerate(degs2):
@@ -511,53 +520,31 @@ def _birkhoff_core(T: RatMat, k_det: int) -> tuple[RatMat, list[int], RatMat]:
             left_row[idx] = -RatFun.from_poly(Poly(n, pos).shift(v + cut - e_deg))
         if neg:
             right_row[idx] = -RatFun.from_laurent(n, v, neg)
-    # With block_l = 1 + l2 and block_r = 1 + r2 (block diagonal), check that
-    # _unit_row(left_row) * block_l^-1 * m_mat * block_r^-1 * _unit_row(right_row) = Dfull.
-    check = (
-        _unit_row(left_row) * _block_diag_one(l2.inv()) * m_mat
-        * _block_diag_one(r2_inv) * _unit_row(right_row)
-    )
-    degrees_full = [0] + list(degs2)
-    for i in range(r):
-        for j in range(r):
-            e = check.entries[i][j]
-            if i == j:
-                unit = laurent_is_unit(e)
-                if unit is None or unit[1] != degrees_full[i] or not unit[0].is_one():
-                    raise MathRejection("clearing did not reach the diagonal form")
-            elif not e.is_zero():
-                raise MathRejection("clearing left a nonzero off-diagonal entry")
     # T = z^shift L_h H ; H z^{-d1} = U^{-1} m_mat V
-    # m_mat = block_l _unit_row(-left_row) Dfull _unit_row(-right_row) block_r
-    l_total = l_h * u_mat.inv() * _block_diag_one(l2) * _unit_row([-f for f in left_row])
+    l_total = l_h * u_inv * _block_diag_one(l2) * _unit_row([-f for f in left_row])
+    l_total_inv = _unit_row(left_row) * _block_diag_one(l2_inv) * u_mat * l_h_inv
     r_total = _unit_row([-f for f in right_row]) * _block_diag_one(r2) * v_mat
-    degrees = [d + d1 + shift for d in degrees_full]
-    return l_total, degrees, r_total
+    r_total_inv = v_inv * _block_diag_one(r2_inv) * _unit_row(right_row)
+    degrees = [d + d1 + shift for d in [0] + list(degs2)]
+    return l_total, l_total_inv, degrees, r_total, r_total_inv
 
 
 def _unit_row(row: list[RatFun]) -> RatMat:
     """The identity with first row [1, *row]; _unit_row(-row) is its inverse."""
-    size = len(row) + 1
-    zero, one = RatFun.zero(row[0].n), RatFun.one(row[0].n)
-    rows = [[one] + list(row)]
-    rows.extend([one if i == j else zero for j in range(size)] for i in range(1, size))
+    rows = [list(r) for r in RatMat.identity(row[0].n, len(row) + 1).entries]
+    rows[0][1:] = row
     return RatMat(rows)
 
 
 def _block_diag_one(m: RatMat) -> RatMat:
-    n = m.n
-    size = m.rows + 1
-    zero, one = RatFun.zero(n), RatFun.one(n)
-    rows = [[one] + [zero] * (size - 1)]
-    for i in range(m.rows):
-        rows.append([zero] + list(m.entries[i]))
-    return RatMat(rows)
+    """The block diagonal matrix with blocks 1 and m."""
+    zero = RatFun.zero(m.n)
+    return RatMat([[RatFun.one(m.n)] + [zero] * m.rows] + [[zero] + list(row) for row in m.entries])
 
 
 def birkhoff_factor(cocycle: TransitionCocycle) -> BirkhoffFactorization:
     """Exact factorization T = U_plus * diag(z^d) * U_minus, degrees sorted."""
-    l_mat, degrees, r_mat = _birkhoff_core(cocycle.transition, cocycle.degree)
-    fact = BirkhoffFactorization(l_mat, tuple(degrees), r_mat)
+    fact = BirkhoffFactorization(*_birkhoff_core(cocycle.transition, cocycle.degree))
     fact.residual_zero = fact.residual_is_zero(cocycle)
     if not fact.residual_zero:
         raise MathRejection("factorization residual is nonzero")
@@ -596,7 +583,7 @@ def hn_filtration(cocycle: TransitionCocycle, factorization: Optional[BirkhoffFa
 
 def h0_dimension(cocycle: TransitionCocycle, m: int = 0) -> int:
     """dim H^0 of E x O(m), by direct exact linear solve."""
-    t_h, _, shift = _compressed(cocycle.transition)
+    t_h, _, _, shift = _compressed(cocycle.transition)
     space = _SectionSpace(t_h, m + shift, cocycle.degree - cocycle.rank * shift)
     return space.dim()
 
@@ -605,7 +592,7 @@ def h0_profile(cocycle: TransitionCocycle, m_lo: int, m_hi: int) -> dict[int, in
     """dim H^0(E x O(m)) for every m in [m_lo, m_hi], via the twist ladder."""
     if m_lo > m_hi:
         raise MalformedInput("empty twist range")
-    t_h, _, shift = _compressed(cocycle.transition)
+    t_h, _, _, shift = _compressed(cocycle.transition)
     space = _SectionSpace(t_h, m_hi + shift, cocycle.degree - cocycle.rank * shift)
     out = {m_hi: space.dim()}
     for m in range(m_hi - 1, m_lo - 1, -1):
@@ -620,7 +607,7 @@ def section_basis(cocycle: TransitionCocycle, m: int = 0) -> list[tuple[list[Pol
     The pairs satisfy s0(z) = T(z) z^m s1(1/z) exactly, in the original
     trivialization of the cocycle.
     """
-    t_h, l_h, shift = _compressed(cocycle.transition)
+    t_h, l_h, _, shift = _compressed(cocycle.transition)
     space = _SectionSpace(t_h, m + shift, cocycle.degree - cocycle.rank * shift)
     pairs = space.section_pairs()
     out = []

@@ -13,8 +13,9 @@ module lives over.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, groupby
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .bundle import (
     BirkhoffFactorization,
@@ -124,22 +125,18 @@ class ValidationReport:
         return f"ValidationReport(ok={self.ok}, violations={len(self.violations)})"
 
 
-def _divides_linear_power(den: Poly, lin: Poly) -> bool:
-    """True iff the monic den divides some power of the linear or constant lin.
+def _pole_test(lin: Poly) -> Callable[[RatMat], bool]:
+    """The test "some entry of m has a pole away from the zero of lin", for lin of degree <= 1.
 
-    The monic divisors of (z - r)^k are the powers (z - r)^j, so den must be
-    the power of the monic lin of its own degree.
+    The monic divisors of (z - r)^k are the powers (z - r)^j, so a
+    non-constant denominator must be the power of the monic lin of its own
+    degree (no power of a constant lin qualifies); each power is formed once.
     """
-    if den.is_const():
-        return True
-    if lin.degree() < 1:
-        return False
-    return den == lin.monic() ** den.degree()
-
-
-def _has_pole_off(m: RatMat, lin: Poly) -> bool:
-    """True iff some entry of m has a pole away from the zero of lin."""
-    return any(not _divides_linear_power(e.den, lin) for row in m.entries for e in row)
+    monic = lin.monic() if lin.degree() >= 1 else Poly.zero(lin.n)
+    power = lru_cache(maxsize=None)(monic.__pow__)
+    return lambda m: any(
+        not e.den.is_const() and e.den != power(e.den.degree()) for row in m.entries for e in row
+    )
 
 
 def _chart_regularity_issues(
@@ -170,8 +167,9 @@ def _chart_regularity_issues(
             return [{"kind": "singular_action", "element": label}]
     else:
         a_inv, chart1_inv = inverses
+    pole_off_mu = _pole_test(mu)
     for name, m in (("action", a_mat), ("action_inverse", a_inv)):
-        if _has_pole_off(m, mu):
+        if pole_off_mu(m):
             issues.append({"kind": f"chart0_pole_{name}", "element": label})
     chart1_w = _in_w(chart1)
     if inverses is None:
@@ -181,9 +179,10 @@ def _chart_regularity_issues(
             return issues + [{"kind": "singular_chart1", "element": label}]
     else:
         chart1_w_inv = _in_w(chart1_inv)
-    lin = Poly(elem.n, [elem.a, elem.b])  # a + b w vanishes where the image leaves chart 1
+    # a + b w vanishes where the image leaves chart 1
+    pole_off_lin = _pole_test(Poly(elem.n, [elem.a, elem.b]))
     for name, m in (("chart1", chart1_w), ("chart1_inverse", chart1_w_inv)):
-        if _has_pole_off(m, lin):
+        if pole_off_lin(m):
             issues.append({"kind": f"pole_{name}", "element": label})
     return issues
 
@@ -458,19 +457,27 @@ class CanonicalForm:
         return tuple(out)
 
     def equal_up_to_iso(self, other: CanonicalForm) -> bool:
-        if len(self.entries) != len(other.entries):
-            return False
-        for a, b in zip(self.entries, other.entries):
-            if a.degree != b.degree or a.parity != b.parity:
-                return False
-            if a.module.group.elements != b.module.group.elements:
-                return False
-            if a.module.character() != b.module.character():
-                return False
-        return True
+        return len(self.entries) == len(other.entries) and all(
+            a.degree == b.degree and a.parity == b.parity and _same_modules(a.module, b.module)
+            for a, b in zip(self.entries, other.entries)
+        )
 
     def __repr__(self) -> str:
         return f"CanonicalForm({[e for e in self.entries]!r})"
+
+
+def _same_elements(g: GroupLike, h: GroupLike) -> bool:
+    """The two groups hold the same elements, perhaps listed in another order."""
+    return g.index.keys() == h.index.keys()
+
+
+def _same_modules(a: Representation, b: Representation) -> bool:
+    """Isomorphic modules over one group: characters agree at a's class representatives."""
+    chi_a, chi_b, h = a.character().values, b.character().values, b.group
+    return _same_elements(a.group, h) and all(
+        chi_a[ci] == chi_b[h.class_of[h.element_index(a.group.elements[x])]]
+        for ci, x in enumerate(a.group.class_reps)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +570,7 @@ def classify_with_certificates(
     }
     gens = [group.elements[gi] for gi in group.generator_indices]
     p_mat = fact.u_plus
-    p_inv = p_mat.inv()
+    p_inv = fact.u_plus_inv
     gen_action = [
         p_inv.compose_moebius(MoebiusMap(g)) * a_mat * p_mat
         for g, a_mat in zip(gens, bundle.gen_action)
@@ -683,7 +690,7 @@ def check_entries(cf: CanonicalForm, group: GroupLike, gamma: Optional[Splitting
             raise ParityObstruction(
                 f"a degree-{entry.degree} summand over this group must be tagged {parity!r}"
             )
-        if entry.module.group.index.keys() != module_group.index.keys():
+        if not _same_elements(entry.module.group, module_group):
             raise MalformedInput(f"the degree-{entry.degree} module lives over another group")
 
 
@@ -728,6 +735,6 @@ def build_from_canonical(
 
 def equiv_isomorphic(b1: EquivariantBundle, b2: EquivariantBundle) -> bool:
     """Equivariant isomorphism via the uniqueness of the canonical form."""
-    if b1.group.elements != b2.group.elements:
+    if not _same_elements(b1.group, b2.group):
         return False
     return classify(b1).equal_up_to_iso(classify(b2))

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
-from equibundle import bundle
+from equibundle import bundle, linalg, plant, ratfun, serialize
 from equibundle.cyclotomic import CycNum
-from equibundle.errors import NotACocycle, SingularMatrix
+from equibundle.errors import MathRejection, NotACocycle, SingularMatrix
 from equibundle.bundle import (
-    BirkhoffFactorization,
     TransitionCocycle,
     _compressed,
     _SectionSpace,
@@ -148,36 +150,113 @@ def test_planted_factorization_recovery():
         assert fact.factors_in_rings()
 
 
-def test_birkhoff_factor_takes_determinants_only_in_the_ring_check(monkeypatch):
-    # The determinant exponent comes from the cocycle and is passed down the
-    # recursion, so only factors_in_rings (unimodularity of U_plus, U_minus)
-    # takes determinants.
-    e = planted_cocycle(random.Random(7), [2, 1, 0, -3])
-    det, in_rings, peel = RatMat.det, BirkhoffFactorization.factors_in_rings, bundle._max_degree_section
-    inside, det_calls, peels = [], [], []
+def scan_case_20() -> tuple[TransitionCocycle, list[int]]:
+    """Case 20 of the planted rank-5 scan "scan:5" over Q(zeta_12).
 
-    def counted_det(self):
-        det_calls.append(bool(inside))
-        return det(self)
+    Factoring it once took a Gauss-Jordan inverse of a size-4 Laurent matrix
+    that ran for more than a minute.
+    """
+    rng = random.Random("scan:5")
+    for _ in range(21):
+        degrees = sorted((rng.randint(-4, 4) for _ in range(5)), reverse=True)
+        cocycle, _, _ = plant.planted_cocycle(rng, N, degrees)
+    return cocycle, degrees
 
-    def counted_in_rings(self):
-        inside.append(True)
-        try:
-            return in_rings(self)
-        finally:
-            inside.pop()
+
+def test_birkhoff_factor_inverts_nothing_by_elimination(monkeypatch):
+    # Every factor carries its inverse, and the ring check multiplies factor
+    # by inverse: factoring takes no determinant and eliminates no RatFun
+    # matrix (the section solves eliminate over the field).
+    calls, peels = [], []
+    peel = bundle._max_degree_section
+
+    def counted(name, fn):
+        def call(a, *args):
+            rows = a.entries if isinstance(a, RatMat) else a
+            if any(isinstance(x, RatFun) for row in rows for x in row):
+                calls.append(name)
+            return fn(a, *args)
+
+        return call
 
     def counted_peel(*args):
         peels.append(args)
         return peel(*args)
 
-    monkeypatch.setattr(RatMat, "det", counted_det)
-    monkeypatch.setattr(BirkhoffFactorization, "factors_in_rings", counted_in_rings)
+    # TransitionCocycle takes det T as its input check, so build first.
+    cases = [((planted_cocycle(random.Random(7), [2, 1, 0, -3]), [2, 1, 0, -3]), 3), (scan_case_20(), 4)]
+    monkeypatch.setattr(RatMat, "det", counted("RatMat.det", RatMat.det))
+    monkeypatch.setattr(RatMat, "inv", counted("RatMat.inv", RatMat.inv))
+    monkeypatch.setattr(linalg, "mat_inv", counted("mat_inv", linalg.mat_inv))
+    monkeypatch.setattr(ratfun, "mat_inv", counted("mat_inv", ratfun.mat_inv))
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
     monkeypatch.setattr(bundle, "_max_degree_section", counted_peel)
-    fact = birkhoff_factor(e)
-    assert fact.degrees == (2, 1, 0, -3)
-    assert len(peels) == 3
-    assert det_calls and all(det_calls)
+    for (cocycle, degrees), peel_count in cases:
+        peels.clear()
+        fact = birkhoff_factor(cocycle)
+        assert fact.degrees == tuple(degrees)
+        assert fact.residual_zero and fact.in_rings
+        assert len(peels) == peel_count
+    assert calls == []
+
+
+def test_split_scan_case_20_subprocess(tmp_path):
+    # A fresh process factors the case in seconds: one JSON object, exit 0.
+    cocycle, degrees = scan_case_20()
+    path = tmp_path / "cocycle.json"
+    path.write_text(serialize.dumps(serialize.cocycle_to_json(cocycle)))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "equibundle.cli", "split", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    report = json.loads(fresh.stdout)
+    assert report["splitting_type"] == degrees
+    assert report["residual_zero"] is True
+
+
+def _mutated_core(monkeypatch, size: int, mutate) -> None:
+    """Patch _birkhoff_core so that its output at this size goes through mutate."""
+    core = bundle._birkhoff_core
+
+    def patched(T, k_det):
+        out = core(T, k_det)
+        return mutate(*out) if T.rows == size else out
+
+    monkeypatch.setattr(bundle, "_birkhoff_core", patched)
+
+
+def test_birkhoff_factor_rejects_a_wrong_inverse_or_clearing_row(monkeypatch):
+    # The residual and the ring check carry the certificate.  A changed U_plus
+    # inverse and a U_minus inverse with a positive power of z each raise, and
+    # so does a wrong clearing row in the first peel's recursion, given with
+    # its inverse so that only the residual sees it.
+    degrees = [2, 1, 0, -3]
+    e = planted_cocycle(random.Random(7), degrees)
+    z = mono(1, 1)
+
+    def bad_u_plus_inv(l, l_inv, degs, r, r_inv):
+        return l, l_inv.with_entry(0, 0, l_inv[0, 0] + mono(1, 0)), degs, r, r_inv
+
+    def bad_u_minus_inv(l, l_inv, degs, r, r_inv):
+        return l, l_inv, degs, r, r_inv.with_entry(1, 0, r_inv[1, 0] + z)
+
+    def bad_clearing_row(l, l_inv, degs, r, r_inv):
+        row = [z] + [RatFun.zero(N)] * (len(degs) - 2)
+        return l * bundle._unit_row([-f for f in row]), bundle._unit_row(row) * l_inv, degs, r, r_inv
+
+    for size, mutate, message in (
+        (4, bad_u_plus_inv, "factors left their rings"),
+        (4, bad_u_minus_inv, "factors left their rings"),
+        (3, bad_clearing_row, "residual is nonzero"),
+    ):
+        with monkeypatch.context() as m:
+            _mutated_core(m, size, mutate)
+            with pytest.raises(MathRejection, match=message):
+                birkhoff_factor(e)
+    assert birkhoff_factor(e).degrees == tuple(degrees)
 
 
 def test_splitting_type_invariance_under_retrivialization():
@@ -258,7 +337,7 @@ def test_section_ladder_pairs_match_at_every_twist():
     rng = random.Random(2024)
     for degrees in ([2, -1], [1, 1, -2], [3, 0, -1]):
         e = planted_cocycle(rng, degrees)
-        t_h, _, shift = _compressed(e.transition)
+        t_h, _, _, shift = _compressed(e.transition)
         m_hi = shift + max(degrees) + 1
         space = _SectionSpace(t_h, m_hi, e.degree - e.rank * shift)
         dims = []

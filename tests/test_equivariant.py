@@ -26,6 +26,7 @@ from equibundle.equivariant import (
 from equibundle.errors import InvalidStructure, MathRejection
 from equibundle.extensions import pgl_group
 from equibundle.matgroup import (
+    Representation,
     SL2Elem,
     catalog,
     generate_group,
@@ -645,3 +646,33 @@ def test_module_pools_die_with_their_group():
     del group
     gc.collect()
     assert ref() is None
+
+
+def test_forms_over_a_group_listed_in_another_order_compare_by_element():
+    # The catalog group is the preimage of its projective image, listed in
+    # another order.  Forms and bundles over the two compare by element.
+    g = catalog("binary_dihedral", 2).group()
+    h = pgl_group([g.elements[i] for i in g.generator_indices])
+    pre = h.preimage
+    assert g.elements != pre.elements
+    cf = CanonicalForm([CanonicalEntry(1, standard_representation(g), "odd_twist")])
+    out = classify(build_from_canonical(cf, h))
+    assert out.entries[0].module.group is pre
+    assert out.equal_up_to_iso(cf) and cf.equal_up_to_iso(out)
+    # A one-dimensional character moved to the other order is the same module,
+    # and every other one is not.
+    chars = one_dim_reps(g)
+    assert len(chars) == 4
+    for chi in chars:
+        moved = Representation(
+            pre, 1, [chi.image(g.element_index(x)) for x in pre.elements]
+        )
+        for psi in chars:
+            a = CanonicalForm([CanonicalEntry(0, psi)])
+            b = CanonicalForm([CanonicalEntry(0, moved)])
+            assert a.equal_up_to_iso(b) == (psi is chi) == b.equal_up_to_iso(a)
+    bundles = [
+        build_from_canonical(CanonicalForm([CanonicalEntry(2, standard_representation(k))]), k)
+        for k in (g, pre)
+    ]
+    assert equiv_isomorphic(*bundles)

@@ -226,9 +226,12 @@ def test_poly_reversal():
     assert p.reversed(4) == Poly.from_ints(N, [0, 0, 3, 2, 1])
 
 
-def _rational_entry(rng: random.Random, n: int) -> RatFun:
-    """Zero, a Laurent polynomial, or a polynomial over (c z + d)^k, over Q(zeta_n) = Q."""
-    kind = rng.randrange(5)
+def _rational_entry(rng: random.Random, n: int, laurent: bool = False) -> RatFun:
+    """Zero, a Laurent polynomial, or (unless laurent) a polynomial over (c z + d)^k.
+
+    Coefficients lie in Q(zeta_n) = Q.
+    """
+    kind = rng.randrange(3 if laurent else 5)
     if kind == 0:
         return RatFun.zero(n)
     coeffs = [CycNum.from_int(n, rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
@@ -251,22 +254,26 @@ def _to_sympy(f: RatFun, field, zs):
 @pytest.mark.parametrize("n", [1, 2])
 def test_det_and_inverse_match_sympy(n):
     # Independent oracle for the cofactor formulas (sizes 1-3), Bareiss (det,
-    # size 4) and elimination (inverse, size 4); singular inputs must raise.
+    # sizes 4-5) and elimination (inverse, sizes 4-5); singular inputs must
+    # raise.  The Laurent-only inputs of sizes 4 and 5 are the kind that
+    # validation still inverts (the transition matrix).
     sp = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
     zs = sp.Symbol("z")
     field = sp.QQ.frac_field(zs)
     rng = random.Random(101 + n)
-    for size in (1, 2, 3, 4):
+    cases = [(size, False) for size in (1, 2, 3, 4)] + [(4, True), (5, True)]
+    for size, laurent in cases:
         for singular in (False, False, True):
-            rows = [[_rational_entry(rng, n) for _ in range(size)] for _ in range(size)]
+            rows = [[_rational_entry(rng, n, laurent) for _ in range(size)] for _ in range(size)]
             if singular:
                 # Last row: f * row 0 + g * row 1 (a zero row at size 1).
-                f, g = _rational_entry(rng, n), _rational_entry(rng, n)
+                f, g = _rational_entry(rng, n, laurent), _rational_entry(rng, n, laurent)
                 below = rows[1] if size > 2 else [RatFun.zero(n)] * size
                 rows[-1] = [f * x + g * y for x, y in zip(rows[0], below)] if size > 1 else below
             m = RatMat(rows)
+            assert not laurent or all(e.is_laurent() for row in rows for e in row)
             ref = DomainMatrix(
                 [[_to_sympy(e, field, zs) for e in row] for row in rows], (size, size), field
             )
