@@ -211,18 +211,31 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
       elements share one MoebiusMap (and its power rows) per projective
       class, keyed by sign_normalize(g).  Substitution results are
       canonical, so the sign of the matrix behind a map never shows.
-    * idx[x] is the first element whose action matrix equals a_x, so the
-      product a_i(j z) a_j(z) of pair (i, j) depends only on
+    * idx[x] is the first element whose action matrix equals a_x or -a_x,
+      and a_x = sign[x] a_{idx[x]}.  Signs are looked for at level "all";
+      at level "relations", whose few pairs seldom reuse a negation, only
+      when a_{-I} = -I, so that a_{-g} = -a_g.  Each a_k = a_{idx[k]} is
+      negated once, after the lookup of a_k itself missed, and every merge
+      is an exact matrix equality.  So the product a_i(j z) a_j(z) of pair
+      (i, j) is sign[i] sign[j] times a product that depends only on
       (idx[i], map of j, idx[j]).
     * The right-hand elements are taken map by map.  Within one map the
-      substitutions are kept by idx[i] and the products by (idx[i], idx[j]),
-      and both are dropped before the next map, so the memos hold O(|G|)
-      matrices, never one per pair.
+      substitutions a_{idx[i]}(j z) are kept by idx[i] and the products by
+      (idx[i], idx[j]), each with its sign, and both are dropped before the
+      next map, so the memos hold O(|G|) matrices, never one per pair.
     * The action table was extended along tree edges as
       a_y = a_{parent(y)}(g_t z) a_t, and a_t is the table entry of g_t on
-      every tree edge, so a_y seeds the memo of the pair (parent(y), g_t).
-    * T(g z)^-1 is formed once per map, C_g once per (map, idx[g]), and the
-      certified inverse of C_g once per (map, idx[g^-1]).
+      every tree edge, so a_y, signed by sign[parent(y)] sign[g_t], seeds the
+      memo of the pair (parent(y), g_t).
+    * Pair (i, j) compares a_{ij} = sign[ij] a_{idx[ij]} with the signed
+      product, reading -a_{idx[ij]} from the negation the index made.
+    * Regularity depends on g only through its map, a_g up to sign (which
+      moves no pole and no singularity) and whether its (g^-1, g) pair
+      passed, so it runs once per such class, on a_{idx[g]} and inverses
+      signed to match, and its violations are relabelled for every element
+      of the class.
+    * T(g z)^-1 is formed once per map, and sign[g] C_g once per
+      (map, idx[g]).
 
     Violations are reported in pair order, element by element.
     """
@@ -249,16 +262,32 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
             map_ids[key] = len(maps)
             maps.append(MoebiusMap(elem))
         map_of.append(map_ids[key])
-    first: dict[RatMat, int] = {}
-    idx = [first.setdefault(a, x) for x, a in enumerate(table)]
+    minus = group.minus_identity_index()
+    signed = level == "all" or (
+        minus is not None and table[minus] == RatMat.identity(bundle.n, bundle.rank).neg()
+    )
+    signed_index: dict[RatMat, tuple[int, int]] = {}  # a_k -> (k, 1), -a_k -> (k, -1)
+    neg_of: dict[int, RatMat] = {}  # k -> -a_k, when signed
+    idx: list[int] = []
+    sign: list[int] = []
+    for x, a in enumerate(table):
+        if a not in signed_index:
+            signed_index[a] = (x, 1)
+            if signed:
+                neg_of[x] = a.neg()
+                signed_index.setdefault(neg_of[x], (x, -1))
+        k, s = signed_index[a]
+        idx.append(k)
+        sign.append(s)
     # a_y = a_{parent(y)}(g_t z) a_t.  A generator whose a_t differs from its
     # table entry labels no tree edge: the search reaches each generator
     # element first from the identity, through the first generator equal to
     # it, so that generator's entry is a_t itself.
-    seeded: dict[int, dict[tuple[int, int], RatMat]] = {}  # map -> {(idx[i], idx[j]): product}
+    # map -> {(idx[i], idx[j]): (s, P)}, a_{idx[i]}(j z) a_{idx[j]}(z) = s P
+    seeded: dict[int, dict[tuple[int, int], tuple[int, RatMat]]] = {}
     for y in range(1, group.order):
-        gi = group.generator_indices[group.last_gen[y]]
-        seeded.setdefault(map_of[gi], {})[idx[group.parent[y]], idx[gi]] = table[y]
+        p, gi = group.parent[y], group.generator_indices[group.last_gen[y]]
+        seeded.setdefault(map_of[gi], {})[idx[p], idx[gi]] = (sign[p] * sign[gi], table[y])
     if level == "all":
         right = reg_elems = range(group.order)
     else:
@@ -267,55 +296,65 @@ def validate_equivariance(bundle: EquivariantBundle, level: str = "all") -> Vali
     for pos, j in enumerate(right):
         columns.setdefault(map_of[j], []).append((pos, j))
     failed: list[tuple[int, int, int]] = []  # (i, position of j, j)
-    certified_inv: dict[int, RatMat] = {}  # j -> a_{j^-1}(j z), once the pair passed
+    # j -> a_{idx[j^-1]}(j z), once the pair (j^-1, j) passed; a_{j^-1}(j z) is
+    # sign[j^-1] times it.
+    certified_inv: dict[int, RatMat] = {}
     for m, cols in columns.items():
         mob, rhs = maps[m], seeded.pop(m, {})
-        moved: dict[int, RatMat] = {}  # idx[i] -> a_i(j z)
+        moved: dict[int, RatMat] = {}  # idx[i] -> a_{idx[i]}(j z)
         for i in range(group.order):
             ki = idx[i]
             for pos, j in cols:
-                prod = rhs.get((ki, idx[j]))
-                if prod is None:
+                key = (ki, idx[j])
+                hit = rhs.get(key)
+                if hit is None:
                     if ki not in moved:
-                        moved[ki] = table[i].compose_moebius(mob)
-                    prod = rhs[ki, idx[j]] = moved[ki] * table[j]
+                        moved[ki] = table[ki].compose_moebius(mob)
+                    hit = rhs[key] = (1, moved[ki] * table[idx[j]])
+                s, prod = hit
                 ij = group.mul(i, j)
-                if table[ij] != prod:
+                kij = idx[ij]
+                # a_ij = sign[ij] a_kij against sign[i] sign[j] s P
+                target = table[kij] if sign[ij] * sign[i] * sign[j] * s > 0 else neg_of[kij]
+                if target != prod:
                     failed.append((i, pos, j))
                 elif ij == 0 and table[ij].is_identity():
                     if ki not in moved:
-                        moved[ki] = table[i].compose_moebius(mob)
+                        moved[ki] = table[ki].compose_moebius(mob)
                     certified_inv[j] = moved[ki]
     checked["cocycle_pairs"] = group.order * len(right)
     violations.extend({"kind": "cocycle_law", "pair": (i, j)} for i, _, j in sorted(failed))
     transition = bundle.base.transition
     t_inv = transition.inv()
     t_inv_moved: dict[int, RatMat] = {}  # map -> T(g z)^-1
-    charts: dict[tuple[int, int], RatMat] = {}  # (map, idx[g]) -> C_g
+    charts: dict[tuple[int, int], RatMat] = {}  # (map, idx[g]) -> sign[g] C_g
 
     def chart1(g: int) -> RatMat:
-        """C_g(z) = T(g z)^(-1) a_g(z) T(z)."""
+        """sign[g] C_g(z) = T(g z)^(-1) a_{idx[g]}(z) T(z)."""
         m = map_of[g]
         key = (m, idx[g])
         if key not in charts:
             if m not in t_inv_moved:
                 t_inv_moved[m] = t_inv.compose_moebius(maps[m])
-            charts[key] = t_inv_moved[m] * table[g] * transition
+            charts[key] = t_inv_moved[m] * table[idx[g]] * transition
         return charts[key]
 
-    chart1_inv: dict[tuple[int, int], RatMat] = {}  # (map, idx[g^-1]) -> C_{g^-1}(g z)
+    regularity: dict[tuple[int, int, bool], list[dict]] = {}  # (map, idx[g], certified)
     for i in reg_elems:
         checked["regularity_elements"] += 1
-        inverses = None
-        if i in certified_inv:
-            i_inv = group.inv(i)
-            key = (map_of[i], idx[i_inv])
-            if key not in chart1_inv:
-                chart1_inv[key] = chart1(i_inv).compose_moebius(maps[map_of[i]])
-            inverses = (certified_inv[i], chart1_inv[key])
-        violations.extend(
-            _chart_regularity_issues(group.elements[i], table[i], chart1(i), i, inverses)
-        )
+        key = (map_of[i], idx[i], i in certified_inv)
+        if key not in regularity:
+            inverses = None
+            if key[2]:
+                # The inverses of a_{idx[i]} = sign[i] a_i and of sign[i] C_i.
+                i_inv = group.inv(i)
+                inverses = (certified_inv[i], chart1(i_inv).compose_moebius(maps[key[0]]))
+                if sign[i] != sign[i_inv]:
+                    inverses = (inverses[0].neg(), inverses[1].neg())
+            regularity[key] = _chart_regularity_issues(
+                group.elements[i], table[idx[i]], chart1(i), i, inverses
+            )
+        violations.extend(dict(issue, element=i) for issue in regularity[key])
     return ValidationReport(checked, violations)
 
 

@@ -24,7 +24,7 @@ from equibundle.equivariant import (
     validate_equivariance,
 )
 from equibundle.errors import InvalidStructure, MathRejection
-from equibundle.extensions import pgl_group
+from equibundle.extensions import pgl_group, sign_normalize
 from equibundle.matgroup import (
     Representation,
     SL2Elem,
@@ -34,7 +34,7 @@ from equibundle.matgroup import (
     standard_representation,
     trivial_representation,
 )
-from equibundle.moebius import natural_structure
+from equibundle.moebius import MoebiusMap, natural_structure
 from equibundle.plant import (
     conjugated_modules,
     one_dim_reps,
@@ -112,10 +112,10 @@ def _singular(*elements):
     return [{"kind": "singular_action", "element": i} for i in elements]
 
 
-def _scaled_generator(e):
-    """Generator 0 scaled by 2: its (g^-1, g) pair fails."""
-    two = RatFun.const(CycNum.from_int(e.n, 2))
-    return EquivariantBundle(e.base, e.group, [e.gen_action[0].scale(two), *e.gen_action[1:]])
+def _scaled_generator(e, factor=2):
+    """Generator 0 scaled by factor: by 2, its (g^-1, g) pair fails."""
+    c = RatFun.const(CycNum.from_int(e.n, factor))
+    return EquivariantBundle(e.base, e.group, [e.gen_action[0].scale(c), *e.gen_action[1:]])
 
 
 def _chart0_pole(e):
@@ -190,7 +190,12 @@ def _oracle_bundles():
     a_{-I} is the product of the module's image of -I with (-1)^degree:
     standard@1 (+ trivial@0) gives I, standard@0 + trivial@-1 gives -I, and
     standard@1 + trivial@-1 gives diag(1, 1, -1) before retrivialization.
-    The broken ones scale a generator by 2 or give chart 0 a pole.
+    chi is the last one-dimensional module (the trivial one over binary
+    tetrahedral, whose field Q(i) has no cube root of unity).  The rank-1
+    odd-degree bundles and trivial@1 + standard@0 have a_{-I} = -I, so
+    a_{-g} = -a_g; trivial@1 + chi@0 has the non-scalar diag(-1, 1).  chi@2
+    has a_{-I} = I, but a_g = -a_h for some g and h in different projective
+    classes.  The broken ones scale a generator by 2 or give chart 0 a pole.
     """
     rng = random.Random(11)
     sl2 = {
@@ -199,18 +204,28 @@ def _oracle_bundles():
         "bd3": catalog("binary_dihedral", 3).group(),
         "tetrahedral": catalog("binary_tetrahedral").group(),
     }
+
+    def chi(g):
+        return one_dim_reps(g)[-1]
+
     forms = {
         "plus": lambda g: [(1, standard_representation(g)), (0, trivial_representation(g))],
         "minus": lambda g: [(0, standard_representation(g)), (-1, trivial_representation(g))],
         "mixed": lambda g: [(1, standard_representation(g)), (-1, trivial_representation(g))],
         "rank1_minus": lambda g: [(1, trivial_representation(g))],
+        "rank1_odd": lambda g: [(-1, chi(g))],
+        "rank1_even": lambda g: [(2, chi(g))],
+        "odd_central_parity": lambda g: [(1, trivial_representation(g)), (0, standard_representation(g))],
+        "rank2_mixed": lambda g: [(1, trivial_representation(g)), (0, chi(g))],
         "rank2_plus": lambda g: [(1, standard_representation(g))],
     }
     shapes = {
         "cyclic_6": ("mixed", "minus"),
-        "bd2": ("plus", "minus", "mixed"),
+        "bd2": ("plus", "minus", "mixed", "rank1_odd"),
         "bd3": ("plus", "minus"),
-        "tetrahedral": ("rank1_minus", "rank2_plus"),
+        "tetrahedral": (
+            "rank1_minus", "rank1_odd", "rank1_even", "odd_central_parity", "rank2_mixed", "rank2_plus",
+        ),
     }
     out = []
     for gname, g in sl2.items():
@@ -231,9 +246,16 @@ def _oracle_bundles():
         cf = conjugated_modules(rng, random_canonical_form(random.Random(seed), pgl, -2, 2, 2))
         out.append((f"pgl_bd2_{seed}", random_retrivialization(rng, build_from_canonical(cf, pgl))))
     for name, e in list(out):
-        if name in ("cyclic_6_minus", "bd2_plus", "bd3_minus", "tetrahedral_rank2_plus", "pgl_bd2_0"):
+        if name in (
+            "cyclic_6_minus", "bd2_plus", "bd3_minus", "tetrahedral_rank2_plus", "pgl_bd2_0",
+            "bd2_rank1_odd", "tetrahedral_rank1_odd",
+        ):
             out.append((name + "_scaled", _scaled_generator(e)))
             out.append((name + "_pole", _chart0_pole(e)))
+    # Generator 0 negated: binary tetrahedral has no character of order 2, so
+    # the cocycle law fails, and for some g the elements g and -g share their
+    # map and a_g up to sign while only one of their (g^-1, g) pairs passes.
+    out.append(("tetrahedral_rank1_odd_negated", _scaled_generator(dict(out)["tetrahedral_rank1_odd"], -1)))
     return out
 
 
@@ -251,6 +273,38 @@ def test_validation_matches_brute_force_oracle():
             assert validate_equivariance(bundle, level).as_dict() == expected, (name, level)
             kinds.add(expected["ok"])
     assert kinds == {"I", "-I", "other", True, False}
+
+
+def test_regularity_runs_once_per_class_on_exact_inverses(monkeypatch):
+    # Regularity depends on g through its Moebius map, a_g up to sign and
+    # whether the pair (g^-1, g) passed.  Every element's class is run, on
+    # exact inverses when the pair passed and by Gauss-Jordan when it failed,
+    # and at level "all" each class runs once.
+    calls = []
+    original = equivariant._chart_regularity_issues
+
+    def recording(elem, a_mat, chart1, label, inverses=None):
+        calls.append((sign_normalize(elem).key(), a_mat, inverses is not None))
+        if inverses is not None:
+            assert (inverses[0] * a_mat).is_identity() and (inverses[1] * chart1).is_identity()
+        return original(elem, a_mat, chart1, label, inverses)
+
+    monkeypatch.setattr(equivariant, "_chart_regularity_issues", recording)
+    mixed = 0
+    for name, bundle in _oracle_bundles():
+        group, table = bundle.group, bundle.action_table()
+        classes = {}  # element -> (map, a_g up to sign, pair (g^-1, g) passed)
+        for x, elem in enumerate(group.elements):
+            passed = (table[group.inv(x)].compose_moebius(MoebiusMap(elem)) * table[x]).is_identity()
+            classes[x] = (sign_normalize(elem).key(), frozenset((table[x], table[x].neg())), passed)
+        mixed += len(set(classes.values())) - len({c[:2] for c in classes.values()})
+        for level, elems in (("all", range(group.order)), ("relations", group.generator_indices)):
+            calls.clear()
+            validate_equivariance(bundle, level)
+            run = {(m, frozenset((a, a.neg())), c) for m, a, c in calls}
+            assert run == {classes[x] for x in elems}, (name, level)
+            assert level == "relations" or len(calls) == len(run), name
+    assert mixed > 0
 
 
 def test_valid_bundle_validation_inverts_only_the_transition(monkeypatch):
@@ -278,16 +332,19 @@ def test_validation_substitutes_once_per_element(monkeypatch):
     # Binary dihedral of order 12, rank 3, action tables prebuilt.  g and -g
     # share one Moebius kernel: 6 projective classes at level "all"; at level
     # "relations" the classes of the generators a, b and of a^-1 (b^-1 = -b).
-    # Products: one per distinct pair key (map of j, value of a_i, value of
-    # a_j), less the keys seeded by the table's 11 tree edges, plus two for
-    # each distinct (map, value of a_g) of a chart-1 matrix
-    # C_g = T(g z)^-1 a_g T; C_g^-1 is C_{g^-1} composed with g.
-    # - standard@1 + trivial@0: a_{-g} = a_g, 6 values, the edges seed 8 keys.
-    #   "all": 6 maps x 6 x 1 = 36 keys, 28 formed, and 6 C's.
-    #   "relations": 2 maps x 6 x 1 = 12 keys, 4 formed, and C for a, b, a^-1.
-    # - standard@0 + trivial@-1: a_{-g} = -a_g, 12 values, 11 keys seeded.
-    #   "all": 6 x 12 x 2 = 144 keys, 133 formed, and 12 C's.
-    #   "relations": 2 x 12 x 1 = 24 keys, 13 formed, and C for a, b, a^-1, b^-1.
+    # Products: one per distinct pair key (map of j, idx of a_i, idx of a_j),
+    # where idx merges action matrices equal up to sign, less the keys seeded
+    # by the table's 11 tree edges, plus two for each distinct (map, idx of
+    # a_g) of a chart-1 matrix C_g = T(g z)^-1 a_g T; C_g^-1 is C_{g^-1}
+    # composed with g, and a negation is no product.
+    # - standard@1 + trivial@0: a_{-g} = a_g, 6 distinct matrices.
+    # - standard@0 + trivial@-1: a_{-g} = -a_g, 12 distinct matrices, 6 up to
+    #   sign.  At level "relations" a_{-I} = -I lets the signs merge too.
+    # Both bundles therefore have 6 idx values, and g and -g share one map and
+    # one idx, so within a map all j share one idx, and the edges seed 8 keys.
+    # - "all": 6 maps x 6 x 1 = 36 keys, 28 formed, and 6 C's: 28 + 2 * 6.
+    # - "relations": 2 maps x 6 x 1 = 12 keys, 4 formed, and C for a, b, a^-1
+    #   (b^-1 = -b shares the map and idx of b): 4 + 2 * 3.
     g = catalog("binary_dihedral", 3).group()
     forms = {
         "plus": [(1, standard_representation(g)), (0, trivial_representation(g))],
@@ -296,8 +353,8 @@ def test_validation_substitutes_once_per_element(monkeypatch):
     expected = {
         ("plus", "all"): {"kernel": 6, "mul": 28 + 2 * 6, "inv": 1},
         ("plus", "relations"): {"kernel": 3, "mul": 4 + 2 * 3, "inv": 1},
-        ("minus", "all"): {"kernel": 6, "mul": 133 + 2 * 12, "inv": 1},
-        ("minus", "relations"): {"kernel": 3, "mul": 13 + 2 * 4, "inv": 1},
+        ("minus", "all"): {"kernel": 6, "mul": 28 + 2 * 6, "inv": 1},
+        ("minus", "relations"): {"kernel": 3, "mul": 4 + 2 * 3, "inv": 1},
     }
     bundles = {}
     for name, entries in forms.items():

@@ -62,6 +62,17 @@ CASES = {
         "27f808c5a74068956f0a71633d42f34b8d9b40d4143a15a1c313fe0b49d2a5ce",
         ["cffed14a0f695222ce135d2044b2402fb0c4e5bd13a3a92b4ff4c94731173d01"],
     ),
+    # Every summand has odd central parity: (-1)^1 on the 1-dimensional
+    # module and (-1)^0 * (-1) on the 2-dimensional one, so a_{-I} = -I and
+    # validation shares its products between g and -g up to sign.
+    "binary_tetrahedral_odd_central_parity": (
+        lambda: catalog("binary_tetrahedral").group(),
+        278,
+        2,
+        [(1, "plain", 1), (0, "plain", 2)],
+        "40a68992c007ccf609c40e278d3eadf13887eaa6e4c46612ec088dc023e8baae",
+        ["3e02cafab0233bee50c4def0efa5b7c71ce3fd83234cd6ef15d7fb244e81bcf0"],
+    ),
     "pgl_split_odd": (
         lambda: pgl_group(catalog("cyclic", 6).generators),
         0,
