@@ -22,8 +22,8 @@ from unimodular steps (xgcd 2 x 2 steps, Hermite row operations, unit rows,
 block and permutation matrices) whose inverses are written down beside them,
 so the engine inverts no matrix by elimination and takes no determinant.
 birkhoff_factor certifies the result exactly: the residual T = U_plus D
-U_minus, and U_plus U_plus^-1 = U_minus U_minus^-1 = I with all four
-factors in their rings.
+U_minus, U_plus U_plus^-1 = I with both over C[z], U_minus over C[1/z], and
+the degrees summing to the exponent of det T.
 """
 
 from __future__ import annotations
@@ -92,19 +92,16 @@ class TransitionCocycle:
 class BirkhoffFactorization:
     """T = U_plus * D * U_minus with monomial diagonal D and sorted degrees.
 
-    Each factor comes with its inverse.  residual_zero and in_rings carry the
+    U_plus comes with its inverse.  residual_zero and in_rings carry the
     results of the checks that birkhoff_factor made (None until checked), so
     a report reads them instead of forming the product again.
     """
 
-    def __init__(
-        self, u_plus: RatMat, u_plus_inv: RatMat, degrees: tuple[int, ...], u_minus: RatMat, u_minus_inv: RatMat
-    ):
+    def __init__(self, u_plus: RatMat, u_plus_inv: RatMat, degrees: tuple[int, ...], u_minus: RatMat):
         self.u_plus = u_plus
         self.u_plus_inv = u_plus_inv
         self.degrees = tuple(degrees)
         self.u_minus = u_minus
-        self.u_minus_inv = u_minus_inv
         self.n = u_plus.n
         self.residual_zero: Optional[bool] = None
         self.in_rings: Optional[bool] = None
@@ -121,15 +118,16 @@ class BirkhoffFactorization:
     def residual_is_zero(self, cocycle: TransitionCocycle) -> bool:
         return self.product() == cocycle.transition
 
-    def factors_in_rings(self) -> bool:
-        """Exact unimodularity certificate, without determinants.
+    def factors_in_rings(self, cocycle: TransitionCocycle) -> bool:
+        """Exact unimodularity certificate, given an exact residual, without determinants.
 
-        U_plus and its inverse lie over C[z], U_minus and its inverse over
-        C[1/z], and each product is the identity.
+        U_plus^(+-1) over C[z] with U_plus U_plus^-1 = I, U_minus over C[1/z]
+        and sum(degrees) = deg det T make det U_minus a nonzero constant.
         """
-        return all(
-            _in_ring(m, sign) and _in_ring(m_inv, sign) and (m * m_inv).is_identity()
-            for m, m_inv, sign in ((self.u_plus, self.u_plus_inv, 1), (self.u_minus, self.u_minus_inv, -1))
+        return (
+            _in_ring(self.u_plus, 1) and _in_ring(self.u_plus_inv, 1) and _in_ring(self.u_minus, -1)
+            and (self.u_plus * self.u_plus_inv).is_identity()
+            and sum(self.degrees) == cocycle.degree
         )
 
     def __repr__(self) -> str:
@@ -544,11 +542,12 @@ def _block_diag_one(m: RatMat) -> RatMat:
 
 def birkhoff_factor(cocycle: TransitionCocycle) -> BirkhoffFactorization:
     """Exact factorization T = U_plus * diag(z^d) * U_minus, degrees sorted."""
-    fact = BirkhoffFactorization(*_birkhoff_core(cocycle.transition, cocycle.degree))
+    # [:4] drops U_minus^-1, which only the recursion reads.
+    fact = BirkhoffFactorization(*_birkhoff_core(cocycle.transition, cocycle.degree)[:4])
     fact.residual_zero = fact.residual_is_zero(cocycle)
     if not fact.residual_zero:
         raise MathRejection("factorization residual is nonzero")
-    fact.in_rings = fact.factors_in_rings()
+    fact.in_rings = fact.factors_in_rings(cocycle)
     if not fact.in_rings:
         raise MathRejection("factorization factors left their rings")
     return fact

@@ -2,13 +2,13 @@
 
 An equivariant bundle couples a transition cocycle with one chart-0 action
 matrix a_g(z) per group generator, interpreted as the fibre map over
-z -> g.z.  The classification pipeline: factor the underlying bundle, check
-that the action preserves the degree filtration, read one module per degree
-block off the diagonal blocks of the action in the Birkhoff frame, and
-certify by group averaging that the filtration splits equivariantly.  Every
-step produces exact certificates.  summand_rule decides, from the group and
-the degree alone, which parity tag a summand carries and which group its
-module lives over.
+z -> g.z.  The classification pipeline: factor the underlying bundle,
+validate the action in the Birkhoff frame, check that it preserves the
+degree filtration, read one module per degree block off its diagonal
+blocks, and certify by group averaging that the filtration splits
+equivariantly.  Every step produces exact certificates.  summand_rule
+decides, from the group and the degree alone, which parity tag a summand
+carries and which group its module lives over.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ __all__ = [
 GroupLike = Union[FiniteMatrixGroup, PGLGroup]
 
 
-def _action_table(group: GroupLike, rank: int, gen_action: Sequence[RatMat]) -> list[RatMat]:
-    """a_g for every element g, from a_{x g_t}(z) = a_x(g_t z) * a_{g_t}(z)."""
-
-    mobs = [MoebiusMap(group.elements[gi]) for gi in group.generator_indices]
-
-    def step(prev: RatMat, t: int) -> RatMat:
-        return prev.compose_moebius(mobs[t]) * gen_action[t]
-
-    return group.extend(RatMat.identity(group.n, rank), step)
-
-
 class EquivariantBundle:
     """A transition cocycle plus per-generator chart-0 action matrices."""
 
@@ -97,9 +86,14 @@ class EquivariantBundle:
         return MoebiusMap(self.generator_element(t))
 
     def action_table(self) -> tuple[RatMat, ...]:
-        """Action matrices for every group element, extended along words."""
+        """a_g for every element g, from a_{x g_t}(z) = a_x(g_t z) * a_{g_t}(z)."""
         if self._table is None:
-            self._table = tuple(_action_table(self.group, self.rank, self.gen_action))
+            mobs = [self.generator_moebius(t) for t in range(len(self.gen_action))]
+
+            def step(prev: RatMat, t: int) -> RatMat:
+                return prev.compose_moebius(mobs[t]) * self.gen_action[t]
+
+            self._table = tuple(self.group.extend(RatMat.identity(self.n, self.rank), step))
         return self._table
 
     def __repr__(self) -> str:
@@ -581,39 +575,35 @@ def classify_with_certificates(
 ) -> tuple[CanonicalForm, dict]:
     """Full pipeline with exact certificates for every stage.
 
-    With U_plus from the Birkhoff factorization, the action
-    U_plus^-1(g z) a_g(z) U_plus(z) is block upper triangular (the cut check
-    certifies it), and the module of each degree block is read off its
-    diagonal block.  Averaging certifies that the filtration splits
-    equivariantly: from the lowest block up, the leading submatrix holding
-    the blocks not yet split off is averaged into a holomorphic splitting of
-    its lowest block, checked exactly.  Every averaging stage also carries
-    its data (the averaged splitting and the action matrices), so the
-    averaging identities can be re-verified from serialized output alone.
+    The bundle is factored first, T = U_plus D U_minus, and validated as
+    (D, b) with b_g(z) = U_plus^-1(g z) a_g(z) U_plus(z); averaging reads the
+    same action table.  The factors are certified, so (D, b) has the report
+    of (T, a), byte for byte, at both levels: pairs conjugate, as
+    b_{gh}(z) - b_g(h z) b_h(z) = U_plus^-1(gh z) [a_{gh}(z) - a_g(h z) a_h(z)] U_plus(z);
+    U_plus^(+-1)(g z) has poles only where c z + d = 0, allowed on chart 0;
+    D(g z)^-1 b_g D = U_minus(g z) C_g U_minus^-1, and U_minus^(+-1)(g z) has
+    poles in w = 1/z only where a + b w = 0, allowed on chart 1.
+
+    b_g is block upper triangular (the cut check certifies it), and the
+    module of each degree block is read off its diagonal block.  Averaging
+    certifies that the filtration splits equivariantly: from the lowest
+    block up, the leading submatrix holding the blocks not yet split off is
+    averaged into a holomorphic splitting of its lowest block, checked
+    exactly.  Every averaging stage also carries its data (the averaged
+    splitting and the action matrices), so the averaging identities can be
+    re-verified from serialized output alone.
     """
-    report = validate_equivariance(bundle, level=validate_level)
-    if not report.ok:
-        raise InvalidStructure(f"equivariance validation failed: {report.violations[:3]}")
     group = bundle.group
-    n = bundle.n
     fact = birkhoff_factor(bundle.base)
-    certificates: dict = {
-        "validation": report.as_dict(),
-        "factorization_degrees": list(fact.degrees),
-        "factorization_residual_zero": fact.residual_zero,
-        "hn_blocks": [],
-        "averaging": [],
-        "modules": [],
-        # Not serialized: lets callers reuse the factorization.
-        "factorization": fact,
-    }
     gens = [group.elements[gi] for gi in group.generator_indices]
-    p_mat = fact.u_plus
-    p_inv = fact.u_plus_inv
     gen_action = [
-        p_inv.compose_moebius(MoebiusMap(g)) * a_mat * p_mat
+        fact.u_plus_inv.compose_moebius(MoebiusMap(g)) * a_mat * fact.u_plus
         for g, a_mat in zip(gens, bundle.gen_action)
     ]
+    framed = EquivariantBundle(TransitionCocycle(bundle.rank, fact.diagonal()), group, gen_action)
+    report = validate_equivariance(framed, level=validate_level)
+    if not report.ok:
+        raise InvalidStructure(f"equivariance validation failed: {report.violations[:3]}")
     # Degree blocks (degree, multiplicity), descending.
     blocks = [(d, len(list(run))) for d, run in groupby(fact.degrees)]
     # Filtration invariance: strictly-lower block triangles must vanish.
@@ -626,18 +616,28 @@ def classify_with_certificates(
                     "invalid equivariant structure: the action does not preserve "
                     f"the degree filtration (generator {t}, cut {cut})"
                 )
-    certificates["hn_blocks"] = [{"cuts": cuts, "preserved": True}]
+    certificates: dict = {
+        "validation": report.as_dict(),
+        "factorization_degrees": list(fact.degrees),
+        "factorization_residual_zero": fact.residual_zero,
+        "hn_blocks": [{"cuts": cuts, "preserved": True}],
+        "averaging": [],
+        "modules": [],
+        "underlying_type": list(fact.degrees),
+        # Not serialized: lets callers reuse the factorization.
+        "factorization": fact,
+    }
     spans = [range(lo, hi) for lo, hi in zip([0] + cuts, cuts + [bundle.rank])]
     # Split the filtration from the lowest block up, one averaging per step.
     # Leading submatrices of block upper triangular matrices multiply like
     # the matrices, so each step's action table is a leading block of one.
-    table = _action_table(group, bundle.rank, gen_action) if len(blocks) > 1 else []
+    table = framed.action_table()
     for j in range(len(blocks) - 1, 0, -1):
         delta, r_bot = blocks[j]
         every, bottom = range(spans[j].stop), spans[j]
         cur_action = [a.submatrix(every, every) for a in gen_action]
         quot_action = [a.submatrix(bottom, bottom) for a in gen_action]
-        identity = RatMat.identity(n, len(every))
+        identity = RatMat.identity(bundle.n, len(every))
         psi_tilde = _average(
             group,
             [a.submatrix(every, every) for a in table],
@@ -673,15 +673,9 @@ def classify_with_certificates(
         module, parity = _module_from_block(group, degree, block_action, gamma)
         entries.append(CanonicalEntry(degree, module, parity))
         certificates["modules"].append(
-            {
-                "degree": degree,
-                "dim": module.dim,
-                "parity": parity,
-                "evaluation_iso_exact": True,
-            }
+            {"degree": degree, "dim": module.dim, "parity": parity, "evaluation_iso_exact": True}
         )
     cf = CanonicalForm(entries)
-    certificates["underlying_type"] = list(fact.degrees)
     if cf.degree_multiset() != tuple(fact.degrees):
         raise InvalidStructure("module dimensions disagree with the splitting type")
     return cf, certificates

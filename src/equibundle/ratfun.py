@@ -992,7 +992,7 @@ class RatMat:
         return self + other.neg()
 
     def neg(self) -> RatMat:
-        return RatMat(mat_neg(self.entries))
+        return RatMat._raw(self.n, mat_neg(self.entries))
 
     def scale(self, f: RatFun) -> RatMat:
         return RatMat(mat_scale(self.entries, f))

@@ -135,7 +135,7 @@ def test_upper_triangular_extension_splits_at_middle():
     fact = birkhoff_factor(e)
     assert fact.degrees == (2, 0)
     assert fact.residual_is_zero(e)
-    assert fact.factors_in_rings()
+    assert fact.factors_in_rings(e)
 
 
 def test_planted_factorization_recovery():
@@ -147,7 +147,7 @@ def test_planted_factorization_recovery():
         fact = birkhoff_factor(e)
         assert fact.degrees == tuple(degrees)
         assert fact.residual_is_zero(e)
-        assert fact.factors_in_rings()
+        assert fact.factors_in_rings(e)
 
 
 def scan_case_20() -> tuple[TransitionCocycle, list[int]]:
@@ -230,9 +230,10 @@ def _mutated_core(monkeypatch, size: int, mutate) -> None:
 
 def test_birkhoff_factor_rejects_a_wrong_inverse_or_clearing_row(monkeypatch):
     # The residual and the ring check carry the certificate.  A changed U_plus
-    # inverse and a U_minus inverse with a positive power of z each raise, and
-    # so does a wrong clearing row in the first peel's recursion, given with
-    # its inverse so that only the residual sees it.
+    # inverse raises, and so does a first degree raised by 1 against row 0 of
+    # U_minus times 1/z: the residual stays exact and U_minus stays over
+    # C[1/z], so only the degree sum sees it.  A wrong clearing row in the
+    # first peel's recursion, given with its inverse, is seen by the residual.
     degrees = [2, 1, 0, -3]
     e = planted_cocycle(random.Random(7), degrees)
     z = mono(1, 1)
@@ -240,8 +241,10 @@ def test_birkhoff_factor_rejects_a_wrong_inverse_or_clearing_row(monkeypatch):
     def bad_u_plus_inv(l, l_inv, degs, r, r_inv):
         return l, l_inv.with_entry(0, 0, l_inv[0, 0] + mono(1, 0)), degs, r, r_inv
 
-    def bad_u_minus_inv(l, l_inv, degs, r, r_inv):
-        return l, l_inv, degs, r, r_inv.with_entry(1, 0, r_inv[1, 0] + z)
+    def bad_degree_sum(l, l_inv, degs, r, r_inv):
+        rows = [list(row) for row in r.entries]
+        rows[0] = [f * mono(1, -1) for f in rows[0]]
+        return l, l_inv, [degs[0] + 1] + list(degs[1:]), RatMat(rows), r_inv
 
     def bad_clearing_row(l, l_inv, degs, r, r_inv):
         row = [z] + [RatFun.zero(N)] * (len(degs) - 2)
@@ -249,7 +252,7 @@ def test_birkhoff_factor_rejects_a_wrong_inverse_or_clearing_row(monkeypatch):
 
     for size, mutate, message in (
         (4, bad_u_plus_inv, "factors left their rings"),
-        (4, bad_u_minus_inv, "factors left their rings"),
+        (4, bad_degree_sum, "factors left their rings"),
         (3, bad_clearing_row, "residual is nonzero"),
     ):
         with monkeypatch.context() as m:

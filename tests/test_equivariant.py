@@ -28,6 +28,7 @@ from equibundle.extensions import pgl_group, sign_normalize
 from equibundle.matgroup import (
     Representation,
     SL2Elem,
+    TabularGroup,
     catalog,
     generate_group,
     module_isomorphic,
@@ -260,8 +261,11 @@ def _oracle_bundles():
 
 
 def test_validation_matches_brute_force_oracle():
+    # classify validates the bundle in the Birkhoff frame; its report must be
+    # the oracle's report on the input bundle, and a broken bundle must be
+    # rejected with the oracle's first violations.
     kinds = set()
-    for name, bundle in _oracle_bundles():
+    for name, bundle in _oracle_bundles() + list(_invalid_bundles().items()):
         minus = getattr(bundle.group, "minus_identity_index", lambda: None)()
         if minus is not None:
             a_minus = bundle.action_table()[minus]
@@ -272,6 +276,14 @@ def test_validation_matches_brute_force_oracle():
             expected = brute_force_validation(bundle, level)
             assert validate_equivariance(bundle, level).as_dict() == expected, (name, level)
             kinds.add(expected["ok"])
+            if expected["ok"]:
+                assert classify_with_certificates(bundle, level)[1]["validation"] == expected, (name, level)
+            else:
+                with pytest.raises(InvalidStructure) as rejected:
+                    classify_with_certificates(bundle, level)
+                assert str(rejected.value) == (
+                    f"equivariance validation failed: {expected['violations'][:3]}"
+                ), (name, level)
     assert kinds == {"I", "-I", "other", True, False}
 
 
@@ -528,6 +540,26 @@ def test_extract_module_rejects_unstable():
     with pytest.raises(MathRejection):
         extract_module(e)
 
+
+def test_classify_builds_one_action_table(monkeypatch):
+    # Validation and averaging share the Birkhoff-frame bundle's table.
+    g = catalog("binary_dihedral", 2).group()
+    cf = CanonicalForm(
+        [CanonicalEntry(1, standard_representation(g)), CanonicalEntry(0, trivial_representation(g))]
+    )
+    bundle = random_retrivialization(random.Random(3), build_from_canonical(cf, g))
+    tables = []
+    extend = TabularGroup.extend
+
+    def counting(self, first, step):
+        if isinstance(first, RatMat):
+            tables.append(first)
+        return extend(self, first, step)
+
+    monkeypatch.setattr(TabularGroup, "extend", counting)
+    recovered, certs = classify_with_certificates(bundle)
+    assert recovered.degrees() == (1, 0) and len(certs["averaging"]) == 1
+    assert len(tables) == 1
 
 
 def test_extract_module_factors_once(monkeypatch):

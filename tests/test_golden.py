@@ -160,3 +160,10 @@ def test_split_output_bytes_pinned(name, tmp_path, capsys, monkeypatch):
     assert main(["split", "--input", str(path)]) == 0
     assert len(calls) == peels
     assert _sha(capsys.readouterr().out) == stdout_sha
+
+
+def test_verify_output_bytes_pinned(capsys):
+    # Every suite at seed 1, two cases each: planting, factorization,
+    # validation, averaging, parity and sections all feed these bytes.
+    assert main(["verify", "--suite", "all", "--seed", "1", "--cases", "2"]) == 0
+    assert _sha(capsys.readouterr().out) == "3acba86bf014cd171eb3e150f12239570a87bf1bbfd30530b1f360c5170441fa"
