@@ -17,10 +17,12 @@ sections of maximal twist split off one line bundle at a time, with
 left-Hermite compression keeping entry degrees bounded by the determinant
 exponent throughout.  Sections are Poly vectors in w with their transition
 products as RatFun vectors in z, so the twist ladder and the clearing of a
-peeled row use the same Laurent arithmetic as RatMat.  Every factor is built
-from unimodular steps (xgcd 2 x 2 steps, Hermite row operations, unit rows,
-block and permutation matrices) whose inverses are written down beside them,
-so the engine inverts no matrix by elimination and takes no determinant.
+peeled row use the same Laurent arithmetic as RatMat.  The factors are built
+from unimodular steps (xgcd 2 x 2 steps, Hermite row operations, corner
+matrices [[1, row], [0, block]] and permutation matrices); U_plus^-1 is
+written down beside U_plus, and U_minus^-1 is never formed, only applied to
+the rows the recursion reads.  So no matrix is inverted by elimination and
+no determinant is taken.
 birkhoff_factor certifies the result exactly: the residual T = U_plus D
 U_minus, U_plus U_plus^-1 = I with both over C[z], U_minus over C[1/z], and
 the degrees summing to the exponent of det T.
@@ -275,14 +277,16 @@ class _SectionSpace:
 
     def section_pairs(self) -> list[tuple[list[Poly], list[Poly]]]:
         """Pairs (s0, s1) with s0 polynomial in z and s1 polynomial in w."""
-        z_m = RatFun.monomial(CycNum.one(self.n), self.m)
-        out = []
-        for s1, prod in self.basis:
-            s0 = [f * z_m for f in prod]
-            if not all(f.is_polynomial() for f in s0):
-                raise MathRejection("section product has a forbidden pole")
-            out.append(([f.num for f in s0], s1))
-        return out
+        return [_section_pair(self.m, s1, prod) for s1, prod in self.basis]
+
+
+def _section_pair(m: int, s1: list[Poly], prod: list[RatFun]) -> tuple[list[Poly], list[Poly]]:
+    """The pair (s0, s1) of a basis section of E x O(m): s0 = z^m P."""
+    z_m = RatFun.monomial(CycNum.one(s1[0].n), m)
+    s0 = [f * z_m for f in prod]
+    if not all(f.is_polynomial() for f in s0):
+        raise MathRejection("section product has a forbidden pole")
+    return [f.num for f in s0], s1
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +440,13 @@ def _max_degree_section(T_h: RatMat, k_det: int) -> tuple[int, list[Poly], list[
     space = _SectionSpace(T_h, -d0, k_det)
     if space.dim() == 0:
         raise MathRejection("no section at the mean degree; determinant data broken")
-    prev_pairs = space.section_pairs()
-    guard = 0
-    while True:
+    for _ in range(10 * (k_det + r + 2) + 1):
+        # The last nonempty rung's first section is the one returned.
+        m, (s1, prod) = space.m, space.basis[0]
         space.step_down()
         if space.dim() == 0:
-            d1 = -(space.m + 1)
-            s0, s1 = prev_pairs[0]
-            return d1, s0, s1
-        prev_pairs = space.section_pairs()
-        guard += 1
-        if guard > 10 * (k_det + r + 2):
-            raise MathRejection("degree search failed to terminate")
+            return -m, *_section_pair(m, s1, prod)
+    raise MathRejection("degree search failed to terminate")
 
 
 def _sorting_permutation(exps: list[int]) -> list[int]:
@@ -455,21 +454,19 @@ def _sorting_permutation(exps: list[int]) -> list[int]:
     return sorted(range(len(exps)), key=lambda i: (-exps[i], i))
 
 
-def _birkhoff_core(T: RatMat, k_det: int) -> tuple[RatMat, RatMat, list[int], RatMat, RatMat]:
+def _birkhoff_core(
+    T: RatMat, k_det: int, rows: list[list[RatFun]]
+) -> tuple[RatMat, RatMat, list[int], RatMat, list[list[RatFun]]]:
     """Recursive engine: T = L * diag(z^degrees) * R, degrees nonincreasing.
 
-    Returns (L, L^-1, degrees, R, R^-1); each inverse is built from the
-    inverses of the steps that build its factor.  det T = c z^k_det; the
-    callers know k_det, so it is not recomputed.
+    Returns (L, L^-1, degrees, R, [x R^-1 for x in rows]).  A peel wraps the
+    sub-call's factors in corner matrices [[1, row], [0, block]]; R^-1 is
+    never formed, only applied to rows, and a peel passes its first row down
+    to clear it.  Rank 1 compresses to [[1]], a monomial case.
+    det T = c z^k_det; the callers know k_det.
     """
     n = T.n
     r = T.rows
-    if r == 1:
-        unit = laurent_is_unit(T.entries[0][0])
-        assert unit is not None
-        c, k = unit
-        identity = RatMat.identity(n, 1)
-        return RatMat([[RatFun.const(c)]]), RatMat([[RatFun.const(c.inv())]]), [k], identity, identity
     h_mat, l_h, l_h_inv, shift = _compressed(T)
     k_h = k_det - r * shift
     if all(
@@ -484,66 +481,68 @@ def _birkhoff_core(T: RatMat, k_det: int) -> tuple[RatMat, RatMat, list[int], Ra
         # H = P * D_sorted * P^-1, and the permutation P has inverse P^T.
         p_left = RatMat(zip(*p_right.entries))
         degrees = [exps[perm[j]] for j in range(r)]
-        return l_h * p_right, p_left * l_h_inv, degrees, p_left, p_right
+        return l_h * p_right, p_left * l_h_inv, degrees, p_left, [[x[i] for i in perm] for x in rows]
     # Peel off a line subbundle of maximal degree.
     d1, s0, s1 = _max_degree_section(h_mat, k_h)
     if all(p.is_zero() for p in s0) or all(p.is_zero() for p in s1):
         raise MathRejection("degenerate maximal section")
-    u_mat, u_inv = (_poly_matrix_to_ratmat(rows) for rows in _completion_from_column(s0))
-    v_mat, v_inv = (_w_matrix_to_ratmat(rows) for rows in _completion_from_column(s1))
+    u_mat, u_inv = (_poly_matrix_to_ratmat(half) for half in _completion_from_column(s0))
+    v_mat, v_inv = (_w_matrix_to_ratmat(half) for half in _completion_from_column(s1))
     z_d1 = RatFun.monomial(CycNum.one(n), -d1)
     m_mat = u_mat * h_mat.scale(z_d1) * v_inv
     # First column must be e1 by construction.
     if [row[0] for row in m_mat.entries] != [RatFun.one(n)] + [RatFun.zero(n)] * (r - 1):
         raise MathRejection("peeled column is not normalized")
     sub = m_mat.submatrix(range(1, r), range(1, r))
+    # x R^-1 = y corner(-right, r2^-1) with y = x V^-1: the sub-call maps
+    # m_mat's first row, which is cleared below, and the tails of the y.
+    ys = [_row_mul(x, v_inv) for x in rows]
     # U and V have constant determinants, so det m_mat = c z^(k_h - r d1), and
     # its first column is e1, so sub has the same determinant.
-    l2, l2_inv, degs2, r2, r2_inv = _birkhoff_core(sub, k_h - r * d1)
+    sub_rows = [list(m_mat.entries[0][1:])] + [y[1:] for y in ys]
+    l2, l2_inv, degs2, r2, (m_prime, *tails) = _birkhoff_core(sub, k_h - r * d1, sub_rows)
     if any(e > 0 for e in degs2):
         raise MathRejection("subbundle degree exceeds the peeled degree")
-    m_prime = m_mat.submatrix([0], range(1, r)) * r2_inv
     # Clear the remaining row against the corner 1 and the pivots z^e: the
     # exponents >= 1 of entry idx go to the left, z^-e_deg times, and the
-    # rest to the right.  With block_l = 1 + l2 and block_r = 1 + r2 (block
-    # diagonal), m_mat = block_l _unit_row(-left_row) Dfull _unit_row(-right_row)
-    # block_r; birkhoff_factor's residual checks it.
-    left_row = [RatFun.zero(n)] * (r - 1)
-    right_row = list(left_row)
+    # rest to the right, so m_prime = left * D2 + right and
+    # m_mat = corner(left, l2) diag(1, D2) corner(right r2, r2);
+    # birkhoff_factor's residual checks it.
+    left = [RatFun.zero(n)] * (r - 1)
+    right = list(left)
     for idx, e_deg in enumerate(degs2):
-        v, coeffs = _laurent_data(m_prime.entries[0][idx])
+        v, coeffs = _laurent_data(m_prime[idx])
         cut = max(1 - v, 0)  # index of exponent 1
         pos, neg = coeffs[cut:], coeffs[:cut]
         if pos:
-            left_row[idx] = -RatFun.from_poly(Poly(n, pos).shift(v + cut - e_deg))
+            left[idx] = RatFun.from_poly(Poly(n, pos).shift(v + cut - e_deg))
         if neg:
-            right_row[idx] = -RatFun.from_laurent(n, v, neg)
-    # T = z^shift L_h H ; H z^{-d1} = U^{-1} m_mat V
-    l_total = l_h * u_inv * _block_diag_one(l2) * _unit_row([-f for f in left_row])
-    l_total_inv = _unit_row(left_row) * _block_diag_one(l2_inv) * u_mat * l_h_inv
-    r_total = _unit_row([-f for f in right_row]) * _block_diag_one(r2) * v_mat
-    r_total_inv = v_inv * _block_diag_one(r2_inv) * _unit_row(right_row)
+            right[idx] = RatFun.from_laurent(n, v, neg)
+    # T = z^shift L_h H ; H z^{-d1} = U^{-1} m_mat V, and corner(a, B) has
+    # inverse corner(-a B^-1, B^-1).
+    l_total = l_h * u_inv * _corner(left, l2)
+    l_total_inv = _corner([-f for f in _row_mul(left, l2_inv)], l2_inv) * u_mat * l_h_inv
+    r_total = _corner(_row_mul(right, r2), r2) * v_mat
+    rows_out = [[y[0]] + [t - y[0] * f for f, t in zip(right, tail)] for y, tail in zip(ys, tails)]
     degrees = [d + d1 + shift for d in [0] + list(degs2)]
-    return l_total, l_total_inv, degrees, r_total, r_total_inv
+    return l_total, l_total_inv, degrees, r_total, rows_out
 
 
-def _unit_row(row: list[RatFun]) -> RatMat:
-    """The identity with first row [1, *row]; _unit_row(-row) is its inverse."""
-    rows = [list(r) for r in RatMat.identity(row[0].n, len(row) + 1).entries]
-    rows[0][1:] = row
-    return RatMat(rows)
+def _corner(row: list[RatFun], block: RatMat) -> RatMat:
+    """[[1, row], [0, block]]: block_diag(1, block) times the unit row [1, row]."""
+    one, zero = RatFun.one(block.n), RatFun.zero(block.n)
+    return RatMat._raw(block.n, [[one, *row]] + [[zero, *r] for r in block.entries])
 
 
-def _block_diag_one(m: RatMat) -> RatMat:
-    """The block diagonal matrix with blocks 1 and m."""
-    zero = RatFun.zero(m.n)
-    return RatMat([[RatFun.one(m.n)] + [zero] * m.rows] + [[zero] + list(row) for row in m.entries])
+def _row_mul(row: list[RatFun], m: RatMat) -> list[RatFun]:
+    """The row vector row * m."""
+    return [RatFun.dot(row, col) for col in zip(*m.entries)]
 
 
 def birkhoff_factor(cocycle: TransitionCocycle) -> BirkhoffFactorization:
     """Exact factorization T = U_plus * diag(z^d) * U_minus, degrees sorted."""
-    # [:4] drops U_minus^-1, which only the recursion reads.
-    fact = BirkhoffFactorization(*_birkhoff_core(cocycle.transition, cocycle.degree)[:4])
+    *factors, _ = _birkhoff_core(cocycle.transition, cocycle.degree, [])
+    fact = BirkhoffFactorization(*factors)
     fact.residual_zero = fact.residual_is_zero(cocycle)
     if not fact.residual_zero:
         raise MathRejection("factorization residual is nonzero")

@@ -167,8 +167,9 @@ def test_birkhoff_factor_inverts_nothing_by_elimination(monkeypatch):
     # Every factor carries its inverse, and the ring check multiplies factor
     # by inverse: factoring takes no determinant and eliminates no RatFun
     # matrix (the section solves eliminate over the field).
-    calls, peels = [], []
+    calls, peels, products = [], [], []
     peel = bundle._max_degree_section
+    mul = RatMat.__mul__
 
     def counted(name, fn):
         def call(a, *args):
@@ -183,21 +184,65 @@ def test_birkhoff_factor_inverts_nothing_by_elimination(monkeypatch):
         peels.append(args)
         return peel(*args)
 
-    # TransitionCocycle takes det T as its input check, so build first.
-    cases = [((planted_cocycle(random.Random(7), [2, 1, 0, -3]), [2, 1, 0, -3]), 3), (scan_case_20(), 4)]
+    def counted_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    # TransitionCocycle takes det T as its input check, so build first.  Each
+    # peel makes 7 RatMat products (two for m_mat, two each for L and L^-1,
+    # one for R; U_minus^-1 is applied to rows, never formed), the rank-1 end
+    # 2 and the checks 3, so 3 and 4 peels make 26 and 33.
+    cases = [
+        ((planted_cocycle(random.Random(7), [2, 1, 0, -3]), [2, 1, 0, -3]), 3, 26),
+        (scan_case_20(), 4, 33),
+    ]
     monkeypatch.setattr(RatMat, "det", counted("RatMat.det", RatMat.det))
     monkeypatch.setattr(RatMat, "inv", counted("RatMat.inv", RatMat.inv))
     monkeypatch.setattr(linalg, "mat_inv", counted("mat_inv", linalg.mat_inv))
     monkeypatch.setattr(ratfun, "mat_inv", counted("mat_inv", ratfun.mat_inv))
     monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
     monkeypatch.setattr(bundle, "_max_degree_section", counted_peel)
-    for (cocycle, degrees), peel_count in cases:
+    monkeypatch.setattr(RatMat, "__mul__", counted_mul)
+    for (cocycle, degrees), peel_count, product_bound in cases:
         peels.clear()
+        products.clear()
         fact = birkhoff_factor(cocycle)
         assert fact.degrees == tuple(degrees)
         assert fact.residual_zero and fact.in_rings
         assert len(peels) == peel_count
+        assert len(products) <= product_bound
     assert calls == []
+
+
+def rand_laurent(rng: random.Random) -> RatFun:
+    return RatFun.from_laurent(N, rng.randint(-3, 1), [rand_cyc(rng) for _ in range(rng.randint(1, 4))])
+
+
+def test_birkhoff_core_applies_u_minus_inverse_to_rows():
+    # _birkhoff_core returns x R^-1 for each row x it is given without forming
+    # R^-1, so y R == x exactly; with no rows it returns birkhoff_factor's
+    # factors.  The rank-5 case carries rows down four peels, and the last
+    # cocycle compresses to an unsorted monomial diagonal, so its rows are
+    # only permuted.
+    rng = random.Random(22)
+    monomial = TransitionCocycle(3, rand_unimodular_z(rng, 3) * RatMat.diag([mono(1, d) for d in (0, 3, 1)]))
+    h_mat = _compressed(monomial.transition)[0]
+    assert h_mat == RatMat.diag([mono(1, d) for d in (0, 3, 1)])
+    cocycles = [
+        planted_cocycle(random.Random(7), [2, 1, 0, -3]),
+        scan_case_20()[0],
+        planted_cocycle(rng, [1, -2]),
+        monomial,
+    ]
+    for e in cocycles:
+        xs = [[rand_laurent(rng) for _ in range(e.rank)] for _ in range(3)]
+        _, _, _, r, ys = bundle._birkhoff_core(e.transition, e.degree, xs)
+        assert [list(row) for row in (RatMat(ys) * r).entries] == xs
+        fact = birkhoff_factor(e)
+        l, l_inv, degrees, u_minus, no_rows = bundle._birkhoff_core(e.transition, e.degree, [])
+        assert (l, l_inv, tuple(degrees), u_minus, no_rows) == (
+            fact.u_plus, fact.u_plus_inv, fact.degrees, fact.u_minus, []
+        )
 
 
 def test_split_scan_case_20_subprocess(tmp_path):
@@ -221,8 +266,8 @@ def _mutated_core(monkeypatch, size: int, mutate) -> None:
     """Patch _birkhoff_core so that its output at this size goes through mutate."""
     core = bundle._birkhoff_core
 
-    def patched(T, k_det):
-        out = core(T, k_det)
+    def patched(T, k_det, rows):
+        out = core(T, k_det, rows)
         return mutate(*out) if T.rows == size else out
 
     monkeypatch.setattr(bundle, "_birkhoff_core", patched)
@@ -238,17 +283,18 @@ def test_birkhoff_factor_rejects_a_wrong_inverse_or_clearing_row(monkeypatch):
     e = planted_cocycle(random.Random(7), degrees)
     z = mono(1, 1)
 
-    def bad_u_plus_inv(l, l_inv, degs, r, r_inv):
-        return l, l_inv.with_entry(0, 0, l_inv[0, 0] + mono(1, 0)), degs, r, r_inv
+    def bad_u_plus_inv(l, l_inv, degs, r, rows):
+        return l, l_inv.with_entry(0, 0, l_inv[0, 0] + mono(1, 0)), degs, r, rows
 
-    def bad_degree_sum(l, l_inv, degs, r, r_inv):
-        rows = [list(row) for row in r.entries]
-        rows[0] = [f * mono(1, -1) for f in rows[0]]
-        return l, l_inv, [degs[0] + 1] + list(degs[1:]), RatMat(rows), r_inv
+    def bad_degree_sum(l, l_inv, degs, r, rows):
+        r_rows = [list(row) for row in r.entries]
+        r_rows[0] = [f * mono(1, -1) for f in r_rows[0]]
+        return l, l_inv, [degs[0] + 1] + list(degs[1:]), RatMat(r_rows), rows
 
-    def bad_clearing_row(l, l_inv, degs, r, r_inv):
+    def bad_clearing_row(l, l_inv, degs, r, rows):
         row = [z] + [RatFun.zero(N)] * (len(degs) - 2)
-        return l * bundle._unit_row([-f for f in row]), bundle._unit_row(row) * l_inv, degs, r, r_inv
+        identity = RatMat.identity(N, len(degs) - 1)
+        return l * bundle._corner([-f for f in row], identity), bundle._corner(row, identity) * l_inv, degs, r, rows
 
     for size, mutate, message in (
         (4, bad_u_plus_inv, "factors left their rings"),

@@ -134,6 +134,9 @@ SPLIT_CASES = {
     "rank2_diagonal": (1, [2, -1], 0, "ed06f92f4beb94fb993bde57a5bbabf7d1a0ade9d6337dbb8464b0521978f3d4"),
     "rank3_peel": (16, [3, 0, -2], 2, "84eab458d7aac98a81e3cc85f64c7525121a4ee0ee134bb79b8d1f63e74c8b8d"),
     "rank4_peel": (6, [2, 1, 0, -3], 3, "79b5f1817cbe84c4982588d9de1676da87430e144caeb7b55fe85ad2c498f115"),
+    # Four peels: the rows that _birkhoff_core maps through U_minus^-1 pass
+    # down three levels of the recursion.
+    "rank5_peel": (10, [3, 1, 0, -1, -3], 4, "f81c2d5b093fa3263c0f0a8fa74959d99dea3eb36966f0ca2cd3694b6510cd38"),
 }
 
 
